@@ -203,22 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--repetitions", type=int, default=6)
     ana.add_argument("--seed", type=int, default=0)
 
-    repo = sub.add_parser(
-        "repository", help="query a public results repository directory"
-    )
-    repo.add_argument("directory")
-    repo_sub = repo.add_subparsers(dest="repo_command", required=True)
-    repo_sub.add_parser("list", help="list stored runs")
-    best = repo_sub.add_parser("best", help="fastest platform for a workload")
-    best.add_argument("algorithm")
-    best.add_argument("dataset")
-    regress = repo_sub.add_parser(
-        "regressions", help="workloads slower in a newer run"
-    )
-    regress.add_argument("old_run")
-    regress.add_argument("new_run")
-    regress.add_argument("--threshold", type=float, default=1.10)
-
     db = sub.add_parser(
         "db", help="canned queries over the SQLite results store"
     )
@@ -269,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         "timeline", help="render a stored run's trace spans as a phase tree"
     )
     db_timeline.add_argument("run_id")
-    db_sub.add_parser("stats", help="store row counts and database size")
+    db_sub.add_parser(
+        "stats", help="store row counts, database size, and stored runs"
+    )
 
     lint = sub.add_parser(
         "lint",
@@ -320,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     full.add_argument("--seed", type=int, default=0)
     full.add_argument("--report", help="write the composite report here")
     full.add_argument(
-        "--repository", help="submit the validated run to this repository dir"
+        "--repository",
+        help="submit the validated run to the results.db in this directory",
     )
     full.add_argument(
         "--experiments", nargs="*", default=None,
@@ -866,46 +853,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_repository(args) -> int:
-    from repro.harness.repository import ResultsRepository
-
-    repo = ResultsRepository(args.directory)
-    if args.repo_command == "list":
-        run_ids = repo.run_ids()
-        if not run_ids:
-            print("(no runs stored)")
-            return 0
-        for run_id in run_ids:
-            meta = repo.metadata(run_id)
-            jobs = len(repo.load(run_id))
-            print(f"{run_id:24s} {meta.system_under_test:32s} {jobs} jobs")
-        return 0
-    if args.repo_command == "best":
-        best = repo.best_platform(args.algorithm, args.dataset)
-        if best is None:
-            print("no compliant result for that workload")
-            return 1
-        print(
-            f"{best['platform']} at {best['tproc']:.3g} s "
-            f"(run {best['run_id']})"
-        )
-        return 0
-    # regressions
-    found = repo.regressions(
-        args.old_run, args.new_run, threshold=args.threshold
-    )
-    if not found:
-        print("no regressions")
-        return 0
-    for regression in found:
-        print(
-            f"{regression.platform} {regression.algorithm} on "
-            f"{regression.dataset}: {regression.old_seconds:.3g} s -> "
-            f"{regression.new_seconds:.3g} s ({regression.slowdown:.2f}x)"
-        )
-    return 1
-
-
 def _resolve_store_path(value, *, must_exist: bool = True):
     """``--store`` -> a ``results.db`` path; accepts a directory too."""
     from pathlib import Path
@@ -1008,6 +955,15 @@ def _cmd_db(args) -> int:
         print(f"spans:        {stats['spans']}")
         print(f"sla_breaches: {stats['sla_breaches']}")
         print(f"db_bytes:     {stats['db_bytes']}")
+        run_ids = store.run_ids()
+        if not run_ids:
+            print("(no runs stored)")
+        for run_id in run_ids:
+            meta = store.run_metadata(run_id)
+            print(
+                f"{run_id:24s} {meta['system_under_test']:32s} "
+                f"{meta['job_count']} jobs"
+            )
         return 0
 
 
@@ -1078,21 +1034,27 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_full_run(args) -> int:
+    from contextlib import nullcontext
+    from pathlib import Path
+
     from repro.harness.full_run import run_full_benchmark
-    from repro.harness.repository import ResultsRepository
+    from repro.resultsdb.store import STORE_NAME, ResultsStore
     from repro.runtime.executor import resolve_partitions, resolve_workers
 
-    repository = ResultsRepository(args.repository) if args.repository else None
-    result = run_full_benchmark(
-        seed=args.seed,
-        experiment_ids=args.experiments,
-        report_path=args.report,
-        repository=repository,
-        workers=resolve_workers(args.workers),
-        run_dir=args.run_dir,
-        partitions=resolve_partitions(args.partitions),
-        partition_strategy=args.partition_strategy,
-    )
+    with (
+        ResultsStore(Path(args.repository) / STORE_NAME)
+        if args.repository else nullcontext()
+    ) as store:
+        result = run_full_benchmark(
+            seed=args.seed,
+            experiment_ids=args.experiments,
+            report_path=args.report,
+            store=store,
+            workers=resolve_workers(args.workers),
+            run_dir=args.run_dir,
+            partitions=resolve_partitions(args.partitions),
+            partition_strategy=args.partition_strategy,
+        )
     print(
         f"ran {len(result.reports)} experiments, {result.job_count} jobs"
     )
@@ -1100,7 +1062,7 @@ def _cmd_full_run(args) -> int:
         print(f"# {note}")
     if args.report:
         print(f"report written to {args.report}")
-    if repository is not None:
+    if args.repository:
         print(f"run stored in {args.repository}")
     return 0
 
@@ -1445,8 +1407,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_materialize(args)
         if args.command == "estimate":
             return _cmd_estimate(args)
-        if args.command == "repository":
-            return _cmd_repository(args)
         if args.command == "db":
             return _cmd_db(args)
         if args.command == "analyze":

@@ -8,7 +8,7 @@ Two complementary planes, one seed discipline:
 * :mod:`repro.faults.points` — **I/O-scoped** faults (ENOSPC, EIO,
   failed fsync, torn write, latency, kill) matched at named, centrally
   registered fault points inside ``ioutil``, the run journal, the cache
-  spill, and the service spool.
+  spill, the results store, and the partitioned engine's shards.
 
 Both are deterministic given their seed and travel to child processes,
 so chaos suites assert exact outcomes — which run quarantines, which

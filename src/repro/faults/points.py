@@ -34,7 +34,7 @@ attempt's I/O, only the first).
 
 Plans install process-globally (:func:`install_io_plan`, or the
 :func:`io_faults` context manager for tests) and travel to child
-processes either inside a spooled service request or through the
+processes either inside a stored service request or through the
 ``GRAPHALYTICS_FAULT_PLAN`` environment variable (a path to a JSON
 plan, read lazily on first use).
 """
@@ -163,18 +163,10 @@ FAULT_POINTS: Dict[str, str] = {
     "cache.spill.write": (
         "disk spill of a materialized graph from the runtime cache"
     ),
-    "service.spool.request": (
-        "service spool request.json (run identity, pre-enqueue)"
-    ),
-    "service.spool.outcome": (
-        "service spool outcome.json (the run's terminal commit point)"
-    ),
-    "service.spool.supervise": (
-        "service supervision ledger and quarantine records"
-    ),
     "resultsdb.commit": (
-        "results-store transaction COMMIT (one submitted run, or one "
-        "whole legacy-repository import); kind=kill dies with the "
+        "results-store transaction COMMIT (one submitted run, one "
+        "service run lifecycle transition, or one whole "
+        "legacy-repository import); kind=kill dies with the "
         "transaction in WAL, which discards it on the next open"
     ),
     "partitioned.shard.step": (

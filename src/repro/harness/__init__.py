@@ -32,9 +32,12 @@ from repro.harness.survey import (
 from repro.harness.experiments import EXPERIMENTS, Experiment, get_experiment
 from repro.harness.renewal import RenewalProcess
 from repro.harness.report import render_report, save_report, summarize
-from repro.harness.repository import ResultsRepository, RunMetadata
 from repro.harness.archive import materialize_archive, archive_manifest
-from repro.harness.full_run import FullRunResult, run_full_benchmark
+from repro.harness.full_run import (
+    FullRunResult,
+    run_full_benchmark,
+    submit_run,
+)
 from repro.harness.figures import render_dataset_variety, render_scaling
 from repro.harness.analysis import (
     summarize_measurements,
@@ -73,12 +76,11 @@ __all__ = [
     "render_report",
     "save_report",
     "summarize",
-    "ResultsRepository",
-    "RunMetadata",
     "materialize_archive",
     "archive_manifest",
     "FullRunResult",
     "run_full_benchmark",
+    "submit_run",
     "render_dataset_variety",
     "render_scaling",
     "summarize_measurements",

@@ -3,25 +3,31 @@
 "Graphalytics conducts automatically the complex set of experiments
 summarized in Table 6" (paper §4). This module runs the entire suite,
 collects every job in one results database, renders the composite
-report, and (optionally) submits the validated run to a results
-repository — the complete Figure 1 pipeline.
+report, and (optionally) submits the validated run to the results
+store — the complete Figure 1 pipeline. :func:`submit_run` is the one
+path a harness run takes into the store, and it enforces the paper's
+rule that only validated results are stored.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional, Union
 
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.harness.config import BenchmarkConfig
 from repro.harness.experiments import EXPERIMENTS, ExperimentReport
 from repro.harness.report import render_report, save_report
-from repro.harness.repository import ResultsRepository, RunMetadata
 from repro.harness.results import ResultsDatabase
 from repro.harness.runner import BenchmarkRunner
+from repro.resultsdb.store import ResultsStore
 from repro.trace import current_tracer, write_trace
 
-__all__ = ["FullRunResult", "run_full_benchmark"]
+__all__ = ["FullRunResult", "run_full_benchmark", "submit_run"]
+
+_RUN_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
 @dataclass
@@ -47,8 +53,8 @@ def run_full_benchmark(
     seed: int = 0,
     experiment_ids: Optional[List[str]] = None,
     report_path: Optional[Union[str, Path]] = None,
-    repository: Optional[ResultsRepository] = None,
-    run_metadata: Optional[RunMetadata] = None,
+    store: Optional[ResultsStore] = None,
+    run_metadata: Optional[Mapping[str, object]] = None,
     workers: int = 1,
     run_dir: Optional[Union[str, Path]] = None,
     partitions: Optional[int] = None,
@@ -171,10 +177,49 @@ def run_full_benchmark(
             report_path,
             title="Graphalytics full benchmark run",
         )
-    if repository is not None:
-        metadata = run_metadata or RunMetadata(
-            run_id=f"full-run-seed{seed}",
-            system_under_test="simulated Table 5 platforms on DAS-5 model",
+    if store is not None:
+        submit_run(
+            store,
+            run_metadata or {
+                "run_id": f"full-run-seed{seed}",
+                "system_under_test":
+                    "simulated Table 5 platforms on DAS-5 model",
+                "submitter": "",
+                "description": "",
+            },
+            runner.database,
         )
-        repository.submit(metadata, runner.database)
     return result
+
+
+def submit_run(
+    store: ResultsStore,
+    metadata: Mapping[str, object],
+    database: ResultsDatabase,
+    *,
+    require_validation: bool = True,
+) -> str:
+    """Store a harness run (the paper: only validated results enter).
+
+    ``metadata`` (``run_id``, ``system_under_test``, ``submitter``,
+    ``description``) is stored verbatim. With ``require_validation``
+    every *successful* job must have passed output validation. The
+    store rejects empty runs and duplicate run ids. Returns the run id.
+    """
+    if not _RUN_ID_PATTERN.match(str(metadata.get("run_id", ""))):
+        raise ConfigurationError(
+            f"run id {metadata.get('run_id')!r} must be alphanumeric with ._-"
+        )
+    if not metadata.get("system_under_test"):
+        raise ConfigurationError("system_under_test must be non-empty")
+    if require_validation:
+        unvalidated = [
+            r for r in database if r.succeeded and r.validated is not True
+        ]
+        if unvalidated:
+            raise ValidationError(
+                f"{len(unvalidated)} successful jobs lack output "
+                f"validation; submit with require_validation=False only "
+                f"for private runs"
+            )
+    return store.submit_run(metadata, [r.as_dict() for r in database])

@@ -29,9 +29,9 @@ Every write is threaded through the named fault points of
 or the rename independently — and because the failure always lands on
 the temp file or the rename, an injected fault never tears the
 destination: the atomicity contract is exactly what the fault suite
-verifies. Callers guarding a domain artifact (spool records, cache
-spill) pass ``fault_point=`` to expose a site-specific point that fires
-before any bytes move.
+verifies. Callers guarding a domain artifact (the cache spill) pass
+``fault_point=`` to expose a site-specific point that fires before any
+bytes move.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def atomic_write(
     where atomicity matters but the extra flushes do not).
     ``fault_point`` names an additional registered injection point
     checked before any bytes are written, so chaos plans can target
-    one artifact (the spool outcome, the cache spill) without failing
-    every atomic write in the process.
+    one artifact (the cache spill) without failing every atomic write
+    in the process.
     """
     path = Path(path)
     if fault_point is not None:

@@ -528,8 +528,8 @@ class FaultPointRoutedWriteRule(Rule):
     as the first-ever exercise of that path. Unlike ROB001, append
     modes are **not** exempt here — an unreachable append is just as
     untested as an unreachable truncate. The sanctioned media are
-    :func:`repro.ioutil.atomic_write` (pass ``fault_point=`` for spool
-    artifacts) and :class:`repro.runtime.journal.RunJournal`.
+    :func:`repro.ioutil.atomic_write` (pass ``fault_point=`` for a
+    site-specific point) and :class:`repro.runtime.journal.RunJournal`.
     """
 
     rule_id = "ROB002"

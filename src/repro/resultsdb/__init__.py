@@ -10,20 +10,21 @@ commits?"). This package replaces that design with a stdlib-``sqlite3``
 store in WAL mode:
 
 * :mod:`repro.resultsdb.store` — schema (``runs``, ``jobs``, ``spans``,
-  ``sla_breaches``), transactional submission (the ``resultsdb.commit``
-  fault point guards the commit), and lossless archive round-trip;
+  ``sla_breaches``, ``service_runs``), transactional writes (the
+  ``resultsdb.commit`` fault point guards every commit), and lossless
+  archive round-trip;
 * :mod:`repro.resultsdb.queries` — the canned queries behind
   ``graphalytics db top|trend|regressions``, answer-identical to the
   retired JSON backend;
 * :mod:`repro.resultsdb.migrate` — one-transaction import of a legacy
   JSON repository, byte-identical on round-trip.
 
-Every layer that needs results talks to this package:
-:class:`repro.harness.repository.ResultsRepository` is a facade over
-it, the service's run children commit outcomes, trace spans, and SLA
-breaches into the spool store at terminal-commit time, ``healthz``
-reports store statistics, and the Granula visualizer renders span
-timelines and regression tables straight from SQL. Lint rule ROB003
+Every layer that needs results talks to this package: harness runs
+submit through :func:`repro.harness.full_run.submit_run`, the service
+keeps its run lifecycle rows in the spool store and its run children
+commit results, trace spans, and SLA breaches there at terminal-commit
+time, ``healthz`` reports store statistics, and the Granula visualizer
+renders span timelines and regression tables straight from SQL. Lint rule ROB003
 keeps it that way: ``sqlite3.connect`` outside this package is a
 finding.
 """

@@ -38,9 +38,9 @@ def import_json_repository(
 ) -> Dict[str, object]:
     """Import every run archive under ``root`` into the store.
 
-    ``store_path`` defaults to ``root / results.db`` — the same default
-    the :class:`~repro.harness.repository.ResultsRepository` facade
-    uses, so a migrated directory keeps answering through the old API.
+    ``store_path`` defaults to ``root / results.db``, so a migrated
+    directory answers ``graphalytics db --store <root>`` and takes
+    ``full-run --repository <root>`` submissions.
     With ``verify`` (the default) every archive must round-trip to its
     exact source bytes before anything is written, and each stored run
     is re-serialized from SQL afterwards and compared again; the first

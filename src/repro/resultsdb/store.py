@@ -14,13 +14,17 @@ One database file holds every submitted run:
 * ``spans`` — the run's exported trace spans (``trace.jsonl``), queryable
   without re-parsing archives;
 * ``sla_breaches`` — one row per job that broke the paper's §2.3 SLA,
-  with the budget it was held to.
+  with the budget it was held to;
+* ``service_runs`` — the lifecycle of each run submitted to the HTTP
+  service: the request, its state, the attempt ledger, the outcome and
+  the quarantine record. The server is its only writer.
 
 Durability model: the database runs in WAL mode with ``synchronous=FULL``
-— a submission is one transaction, opened with ``BEGIN IMMEDIATE`` so
-concurrent writers (service run children, parallel harness processes)
-serialize on SQLite's own write lock instead of the retired ``flock``
-sidecar. The transaction's COMMIT is threaded through the registered
+— a submission, or a service lifecycle transition, is one transaction,
+opened with ``BEGIN IMMEDIATE`` so concurrent writers (the service
+server, its run children, parallel harness processes) serialize on
+SQLite's own write lock instead of the retired ``flock`` sidecar. The
+transaction's COMMIT is threaded through the registered
 ``resultsdb.commit`` fault point: a seeded chaos plan can fail or
 SIGKILL the process at the commit boundary, and WAL guarantees the
 reader-visible state is the old run set or the new one, never a torn
@@ -33,8 +37,12 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Union,
+)
 
 from repro.exceptions import ConfigurationError
 from repro.faults import points as fault_points
@@ -116,7 +124,35 @@ CREATE TABLE IF NOT EXISTS sla_breaches (
     budget           REAL NOT NULL,
     PRIMARY KEY (run_id, position)
 );
+CREATE TABLE IF NOT EXISTS service_runs (
+    run_id       TEXT PRIMARY KEY,
+    tenant       TEXT NOT NULL,
+    config       TEXT NOT NULL,
+    workers      TEXT NOT NULL,
+    job_timeout  REAL,
+    chaos        TEXT NOT NULL,
+    state        TEXT NOT NULL,
+    attempts     INTEGER NOT NULL,
+    history      TEXT NOT NULL,
+    outcome      TEXT NOT NULL,
+    quarantine   TEXT NOT NULL,
+    error        TEXT NOT NULL,
+    submitted_at REAL,
+    started_at   REAL,
+    finished_at  REAL
+);
 """
+
+#: service_runs columns, in table order; the JSON ones hold any JSON
+#: value (``null`` included) and decode back to the same object.
+_SERVICE_RUN_COLUMNS = (
+    "run_id", "tenant", "config", "workers", "job_timeout", "chaos",
+    "state", "attempts", "history", "outcome", "quarantine", "error",
+    "submitted_at", "started_at", "finished_at",
+)
+_SERVICE_RUN_JSON = frozenset(
+    {"config", "workers", "chaos", "history", "outcome", "quarantine"}
+)
 
 #: jobs columns mirrored out of each record for SQL filtering; the
 #: authoritative value of every field stays in the ``record`` JSON.
@@ -160,8 +196,6 @@ class ResultsStore:
         # A mutex, not thread-local connections: the service touches the
         # store from asyncio.to_thread workers, and SQLite objects must
         # not be used concurrently from two threads on one connection.
-        import threading
-
         self._mutex = threading.Lock()
         with self._mutex:
             self._conn.execute("PRAGMA journal_mode=WAL")
@@ -176,13 +210,24 @@ class ResultsStore:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        self._conn.close()
+        with self._mutex:
+            self._conn.close()
 
     def __enter__(self) -> "ResultsStore":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    @contextmanager
+    def idle(self) -> Iterator[None]:
+        """Hold off every statement until exit; fork only in here.
+
+        A child forked mid-statement inherits SQLite locks it can never
+        release, and its own connections then find the database locked.
+        """
+        with self._mutex:
+            yield
 
     # -- submission --------------------------------------------------------
 
@@ -210,38 +255,20 @@ class ResultsStore:
         :class:`~repro.exceptions.ConfigurationError`; ``replace=True``
         atomically swaps the stored run (the relaunch semantics service
         run children need — a child SIGKILLed mid-commit re-commits the
-        whole run on its next attempt).
-
-        The COMMIT is threaded through the ``resultsdb.commit`` fault
-        point: an injected failure rolls the transaction back whole,
-        an injected SIGKILL leaves WAL to discard it on the next open —
-        either way no reader ever observes a torn run.
+        whole run on its next attempt). No reader ever observes a torn
+        run (see :meth:`_transaction`).
         """
-        with self._mutex:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                run_id = self._insert_run(
-                    metadata,
-                    results,
-                    spans=spans,
-                    breaches=breaches,
-                    commit_sha=commit_sha,
-                    tenant=tenant,
-                    submitted_at=submitted_at,
-                    replace=replace,
-                )
-                # The commit point, guarded by the chaos plane: a plan
-                # can fail or kill here and the store must come back
-                # with the old state or the new one, never a mixture.
-                fault_points.check("resultsdb.commit")
-                self._conn.execute("COMMIT")
-            except BaseException:
-                try:
-                    self._conn.execute("ROLLBACK")
-                except sqlite3.Error:
-                    pass  # connection already rolled back or gone
-                raise
-        return run_id
+        with self._transaction():
+            return self._insert_run(
+                metadata,
+                results,
+                spans=spans,
+                breaches=breaches,
+                commit_sha=commit_sha,
+                tenant=tenant,
+                submitted_at=submitted_at,
+                replace=replace,
+            )
 
     def submit_payloads(
         self,
@@ -257,17 +284,28 @@ class ResultsStore:
         store exactly as it was, never half a repository.
         """
         run_ids: List[str] = []
+        with self._transaction():
+            for payload in payloads:
+                metadata = payload.get("metadata") or {}
+                results = payload.get("results") or []
+                run_ids.append(
+                    self._insert_run(metadata, results, replace=replace)
+                )
+        return run_ids
+
+    @contextmanager
+    def _transaction(self) -> Iterator[None]:
+        """THE commit path: every store write is one of these.
+
+        ``BEGIN IMMEDIATE`` takes the write lock up front, so writers
+        serialize instead of deadlocking on a lock upgrade. A chaos plan
+        can fail or kill at ``resultsdb.commit``: a failure rolls back
+        whole, a SIGKILL leaves WAL to discard the transaction.
+        """
         with self._mutex:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
-                for payload in payloads:
-                    metadata = payload.get("metadata") or {}
-                    results = payload.get("results") or []
-                    run_ids.append(
-                        self._insert_run(
-                            metadata, results, replace=replace
-                        )
-                    )
+                yield
                 fault_points.check("resultsdb.commit")
                 self._conn.execute("COMMIT")
             except BaseException:
@@ -276,7 +314,6 @@ class ResultsStore:
                 except sqlite3.Error:
                     pass  # connection already rolled back or gone
                 raise
-        return run_ids
 
     def _insert_run(
         self,
@@ -414,6 +451,43 @@ class ResultsStore:
                     float(breach.get("budget") or 0.0),
                 ),
             )
+
+    # -- service run lifecycle ---------------------------------------------
+
+    def save_service_run(self, row: Mapping[str, object]) -> None:
+        """Write one service run's lifecycle row whole, in one transaction.
+
+        The server, the only writer, holds each full record in memory,
+        so every transition is an upsert of the new row.
+        """
+        values = [
+            json.dumps(row.get(column), sort_keys=True)
+            if column in _SERVICE_RUN_JSON else row.get(column)
+            for column in _SERVICE_RUN_COLUMNS
+        ]
+        with self._transaction():
+            self._conn.execute(
+                f"INSERT OR REPLACE INTO service_runs"
+                f" ({', '.join(_SERVICE_RUN_COLUMNS)})"
+                f" VALUES ({', '.join('?' * len(_SERVICE_RUN_COLUMNS))})",
+                values,
+            )
+
+    def service_runs(self) -> List[Dict[str, object]]:
+        """Every service lifecycle row, in run-id (submission) order."""
+        with self._mutex:
+            rows = self._conn.execute(
+                f"SELECT {', '.join(_SERVICE_RUN_COLUMNS)}"
+                f" FROM service_runs ORDER BY run_id"
+            ).fetchall()
+        return [
+            {
+                column: json.loads(value)
+                if column in _SERVICE_RUN_JSON else value
+                for column, value in zip(_SERVICE_RUN_COLUMNS, row)
+            }
+            for row in rows
+        ]
 
     # -- retrieval ---------------------------------------------------------
 
@@ -578,17 +652,17 @@ def commit_service_run(
 ) -> Dict[str, object]:
     """Commit a finished service run into the spool's results store.
 
-    Called by the run child at terminal-commit time, right before
-    ``outcome.json`` lands: the run's job rows, its exported
+    Called by the run child at terminal-commit time, right before it
+    hands its outcome to the server: the run's job rows, its exported
     ``trace.jsonl`` spans (when the file exists and parses), and its
     SLA breaches all enter the store in one transaction.
     ``replace=True`` because a child relaunched after a mid-commit
     crash legitimately re-commits the same run id. Returns the store's
     post-commit :meth:`~ResultsStore.stats`.
     """
-    spans: List[Dict[str, object]] = []
-    if trace_path is not None:
-        spans = _load_span_dicts(Path(trace_path))
+    from repro.trace import read_span_dicts
+
+    spans = read_span_dicts(trace_path) if trace_path is not None else []
     results = [record.as_dict() for record in database]
     with ResultsStore(store_path) as store:
         store.submit_run(
@@ -606,14 +680,3 @@ def commit_service_run(
             replace=True,
         )
         return store.stats()
-
-
-def _load_span_dicts(path: Path) -> List[Dict[str, object]]:
-    """Spans of an exported trace file; empty when absent or torn."""
-    from repro.trace import read_trace
-
-    try:
-        spans, _counters = read_trace(path)
-    except (FileNotFoundError, json.JSONDecodeError, OSError, ValueError):
-        return []
-    return [span.as_dict() for span in spans]

@@ -17,7 +17,7 @@ from repro.runtime.executor import (
     prefetch_into_runner,
     resume_run,
 )
-from repro.faults.plan import FaultPlan, FaultSpec, InjectedFaultError
+from repro.faults import FaultPlan, FaultSpec, InjectedFaultError
 from repro.runtime.journal import (
     JournalError,
     JournalReplay,

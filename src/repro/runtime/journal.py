@@ -301,7 +301,7 @@ class RunJournal:
     fails (full or failing device) the journal drops to flushed-only
     durability — appends still reach the kernel; power-loss durability
     is gone — and flags ``journal-fsync-degraded``. Both paths warn
-    once; both flags surface in ``outcome.json`` and the service's
+    once; both flags surface in the service run outcome and
     ``/v1/healthz``. A failed fsync is *not* retried in place: the
     kernel may already have dropped the dirty pages, so a later
     "successful" fsync would prove nothing (the classic fsyncgate

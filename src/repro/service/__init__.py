@@ -11,10 +11,11 @@ validated artifacts. This package is that deployment mode
   serving, spool recovery on restart;
 * :mod:`repro.service.queue` — round-robin tenant queue with admission
   quotas (``429 Retry-After`` over quota);
-* :mod:`repro.service.runs` — spool-directory run registry; run state
-  is always derivable from disk;
-* :mod:`repro.service.supervise` — run supervision: durable attempt
-  ledger, quarantine records, and the per-tenant circuit breaker
+* :mod:`repro.service.runs` — run registry over lifecycle rows in the
+  spool's results store (request, state, attempt ledger, outcome,
+  quarantine);
+* :mod:`repro.service.supervise` — run supervision: attempt budget,
+  relaunch backoff, and the per-tenant circuit breaker
   (``503 Retry-After`` while a tenant's runs keep dying);
 * :mod:`repro.service.worker` — the per-run child process (journal
   resume, orphan watchdog, chaos-plan arming);
@@ -31,13 +32,7 @@ from repro.service.http import EventStream, ProtocolError, Request, Response
 from repro.service.queue import FairShareQueue, QuotaExceeded
 from repro.service.runs import RunRecord, RunRegistry, normalize_matrix
 from repro.service.server import BenchmarkService, ServiceConfig
-from repro.service.supervise import (
-    BreakerOpen,
-    RetryPolicy,
-    TenantBreaker,
-    load_quarantine,
-    load_supervision,
-)
+from repro.service.supervise import BreakerOpen, RetryPolicy, TenantBreaker
 from repro.service.tail import JournalTailer, decode_journal_line
 from repro.service.worker import execute_service_run
 
@@ -60,7 +55,5 @@ __all__ = [
     "TenantBreaker",
     "decode_journal_line",
     "execute_service_run",
-    "load_quarantine",
-    "load_supervision",
     "normalize_matrix",
 ]

@@ -1,53 +1,46 @@
-"""The service's run registry: spool-directory-backed run state.
+"""The service's run registry: run state as rows of the spool store.
 
-Every submitted run owns one directory under the service **spool**:
+Every submitted run owns one lifecycle row in the spool's results store
+(``<spool>/results.db``, table ``service_runs``) and one directory of
+run artifacts:
 
 .. code-block:: text
 
+    <spool>/results.db      # lifecycle rows, job rows, spans, breaches
     <spool>/<run_id>/
-        request.json    # immutable: tenant, normalized matrix, knobs
         journal.jsonl   # write-ahead journal (the run process writes it)
         trace.jsonl     # span trace, exported at run completion
         results.json    # the results database
         archive.json    # Granula archive of the run's own schedule
-        outcome.json    # terminal summary written by the run process
-        supervise.json  # attempt ledger written before every launch
-        quarantine.json # terminal marker for budget-exhausted runs
         cache/          # materialized-graph spill
 
-``request.json`` is written atomically *before* the run is queued and
-never modified, so the submission survives any crash; everything else
-is produced by the crash-safe runtime. Run state is therefore fully
-**derivable from disk**: a directory with an ``outcome.json`` is
-terminal, anything else is resumable work — which is exactly what
-:meth:`RunRegistry.scan` exploits to re-enqueue interrupted runs after
-a server restart (docs/service.md, restart semantics).
+The row holds the request (tenant, normalized matrix, knobs, chaos
+plan), the state, the attempt ledger, the outcome and the quarantine
+record. It is written before the run is queued and rewritten, one
+transaction each, on every transition; the server is its only writer.
+A row in a terminal state is finished, anything else is resumable work
+— which is exactly what :meth:`RunRegistry.scan` exploits to re-enqueue
+interrupted runs after a server restart (docs/service.md, restart
+semantics).
 """
 
 from __future__ import annotations
 
-import json
 import re
-import warnings
-from dataclasses import dataclass, field
+import threading
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
 from repro.exceptions import ConfigurationError
-from repro.ioutil import atomic_write
+from repro.resultsdb.store import STORE_NAME, ResultsStore
 from repro.runtime.journal import config_payload
-from repro.service.supervise import load_quarantine, load_supervision
 
 __all__ = [
-    "REQUEST_NAME",
-    "OUTCOME_NAME",
     "RunRecord",
     "RunRegistry",
     "normalize_matrix",
 ]
-
-REQUEST_NAME = "request.json"
-OUTCOME_NAME = "outcome.json"
 
 #: States a run moves through: queued -> running -> done | failed —
 #: or, when supervision exhausts its attempt budget, -> quarantined.
@@ -120,7 +113,7 @@ def normalize_matrix(payload: object) -> Dict[str, object]:
 
 @dataclass
 class RunRecord:
-    """In-memory view of one submitted run."""
+    """In-memory view of one submitted run; its fields are the row."""
 
     run_id: str
     tenant: str
@@ -133,11 +126,13 @@ class RunRecord:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     error: str = ""
-    #: Launches recorded in the supervise.json ledger (0 = never ran).
+    #: Launches recorded in the attempt ledger (0 = never ran).
     attempts: int = 0
-    #: Terminal summary loaded from outcome.json, if the run finished.
+    #: One ``{"attempt": n, "at": t}`` entry per launch.
+    history: List[Dict[str, object]] = field(default_factory=list, repr=False)
+    #: Terminal summary the run child delivered, if the run finished.
     outcome: Optional[Dict[str, object]] = field(default=None, repr=False)
-    #: quarantine.json payload for runs that exhausted their budget.
+    #: Quarantine record for runs that exhausted their budget.
     quarantine: Optional[Dict[str, object]] = field(default=None, repr=False)
     #: Optional I/O fault plan (IoFaultPlan payload) riding the request.
     chaos: Optional[Dict[str, object]] = field(default=None, repr=False)
@@ -145,6 +140,15 @@ class RunRecord:
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
+
+    def request(self) -> Dict[str, object]:
+        """What the run child needs to execute the run."""
+        return {
+            "run_id": self.run_id,
+            "tenant": self.tenant,
+            "config": self.config,
+            "chaos": self.chaos,
+        }
 
     def status_payload(self) -> Dict[str, object]:
         """The ``GET /v1/runs/<id>`` body."""
@@ -172,18 +176,44 @@ class RunRecord:
 
 
 class RunRegistry:
-    """Assigns run ids, owns the spool layout, restores state on boot."""
+    """Assigns run ids, owns the spool layout and the lifecycle rows.
+
+    The spool store is opened lazily — by :meth:`scan` only when
+    ``results.db`` already exists, otherwise by the first :meth:`save`
+    — so a server that has accepted no run has not created it.
+    """
 
     def __init__(self, spool: Union[str, Path]):
         self.spool = Path(spool)
         self.spool.mkdir(parents=True, exist_ok=True)
         self.records: Dict[str, RunRecord] = {}
         self._sequence = 0
+        self._store: Optional[ResultsStore] = None
+        # Submissions and transitions run on asyncio.to_thread workers:
+        # id assignment and the lazy store open must not race.
+        self._lock = threading.Lock()
 
     def run_dir(self, run_id: str) -> Path:
         if not _RUN_ID_RE.match(run_id):
             raise ConfigurationError(f"malformed run id {run_id!r}")
         return self.spool / run_id
+
+    def store(self) -> ResultsStore:
+        """The spool's results store, opened on first use."""
+        with self._lock:
+            if self._store is None:
+                self._store = ResultsStore(self.spool / STORE_NAME)
+            return self._store
+
+    def save(self, record: RunRecord) -> None:
+        """Write ``record`` as its lifecycle row (one transaction)."""
+        self.store().save_service_run(asdict(record))
+
+    def close(self) -> None:
+        with self._lock:
+            if self._store is not None:
+                self._store.close()
+                self._store = None
 
     # -- submission --------------------------------------------------------
 
@@ -197,11 +227,11 @@ class RunRegistry:
         submitted_at: float = 0.0,
         chaos: Optional[Dict[str, object]] = None,
     ) -> RunRecord:
-        """Validate, assign a run id, persist ``request.json``, register.
+        """Validate, assign a run id, write the ``queued`` row, register.
 
-        The request file lands atomically before the caller enqueues
-        the run, so a crash between the two leaves a resumable (never a
-        half-known) submission. ``chaos`` is a pre-validated
+        The row commits before the caller enqueues the run, so a crash
+        between the two leaves a resumable (never a half-known)
+        submission. ``chaos`` is a pre-validated
         :class:`~repro.faults.IoFaultPlan` payload the run child
         installs before executing — it rides the request so a resumed
         attempt replays the same fault plan.
@@ -211,8 +241,15 @@ class RunRegistry:
                 f"tenant {tenant!r} must be alphanumeric with ._-"
             )
         config = normalize_matrix(matrix)
-        self._sequence += 1
-        run_id = f"r{self._sequence:06d}-{tenant}"
+        with self._lock:
+            while True:
+                self._sequence += 1
+                run_id = f"r{self._sequence:06d}-{tenant}"
+                try:
+                    self.run_dir(run_id).mkdir(parents=True)
+                    break
+                except FileExistsError:
+                    pass  # a row-less directory (an older spool's run)
         record = RunRecord(
             run_id=run_id,
             tenant=tenant,
@@ -222,119 +259,43 @@ class RunRegistry:
             submitted_at=submitted_at,
             chaos=chaos,
         )
-        run_dir = self.run_dir(run_id)
-        run_dir.mkdir(parents=True, exist_ok=False)
-        request_payload = {
-            "run_id": run_id,
-            "tenant": tenant,
-            "config": config,
-            "workers": workers,
-            "job_timeout": job_timeout,
-            "submitted_at": submitted_at,
-        }
-        if chaos is not None:
-            request_payload["chaos"] = chaos
-        atomic_write(
-            run_dir / REQUEST_NAME,
-            json.dumps(request_payload, indent=1, sort_keys=True),
-            fault_point="service.spool.request",
-        )
+        self.save(record)
         self.records[run_id] = record
         return record
 
     # -- restart recovery --------------------------------------------------
 
     def scan(self) -> List[RunRecord]:
-        """Rebuild the registry from the spool; returns resumable runs.
+        """Rebuild the registry from lifecycle rows; returns resumable runs.
 
-        Every directory holding a ``request.json`` becomes a record;
-        runs with an ``outcome.json`` are terminal, everything else is
-        returned (in submission order) for re-enqueueing — the journal,
-        if present, makes the re-run a resume rather than a restart.
-        A corrupted or truncated ``request.json`` (unreadable, invalid
-        JSON, or not a JSON object) is **skipped with a warning**: one
-        damaged submission must never take the whole boot scan down.
-        Quarantined runs (``quarantine.json`` present) load terminal
-        and are not returned; attempt counts come from the supervision
-        ledger so budgets survive restarts.
+        Rows in a terminal state (done, failed, quarantined) load as
+        they are; every other row is returned, in submission order, as
+        ``queued`` for re-enqueueing — the journal, if present, makes
+        the re-run a resume rather than a restart. Attempt counts come
+        from the row's ledger, so budgets survive restarts.
         """
+        if self._store is None and not (self.spool / STORE_NAME).exists():
+            return []
         resumable: List[RunRecord] = []
-        for request_path in sorted(self.spool.glob(f"*/{REQUEST_NAME}")):
-            try:
-                with open(request_path, "r", encoding="utf-8") as handle:
-                    request = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
-                warnings.warn(
-                    f"skipping spooled run {request_path.parent.name!r}: "
-                    f"unreadable {REQUEST_NAME} ({exc})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue  # torn request: submission never completed
-            if not isinstance(request, dict):
-                warnings.warn(
-                    f"skipping spooled run {request_path.parent.name!r}: "
-                    f"{REQUEST_NAME} holds {type(request).__name__}, "
-                    f"not an object",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue
-            run_id = str(request.get("run_id", request_path.parent.name))
-            chaos = request.get("chaos")
-            record = RunRecord(
-                run_id=run_id,
-                tenant=str(request.get("tenant", "unknown")),
-                config=dict(request.get("config") or {}),
-                workers=request.get("workers", "auto"),
-                job_timeout=request.get("job_timeout"),
-                submitted_at=float(request.get("submitted_at", 0.0)),
-                chaos=chaos if isinstance(chaos, dict) else None,
-            )
-            match = re.match(r"^r(\d+)-", run_id)
+        for row in self.store().service_runs():
+            record = RunRecord(**row)
+            match = re.match(r"^r(\d+)-", record.run_id)
             if match:
                 self._sequence = max(self._sequence, int(match.group(1)))
-            run_dir = request_path.parent
-            record.attempts = int(load_supervision(run_dir)["attempts"])
-            outcome = self.load_outcome(run_id)
-            quarantine = load_quarantine(run_dir)
-            if outcome is not None:
-                record.outcome = outcome
-                record.state = DONE if outcome.get("ok") else FAILED
-                record.error = str(outcome.get("error", ""))
-            elif quarantine is not None:
-                record.quarantine = quarantine
-                record.state = QUARANTINED
-                record.error = str(quarantine.get("reason", ""))
-            else:
+            if not record.terminal:
                 record.state = QUEUED
                 resumable.append(record)
-            self.records[run_id] = record
+            self.records[record.run_id] = record
         return resumable
 
     # -- artifacts ---------------------------------------------------------
 
-    def load_outcome(self, run_id: str) -> Optional[Dict[str, object]]:
-        path = self.run_dir(run_id) / OUTCOME_NAME
-        if not path.exists():
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                loaded = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return loaded if isinstance(loaded, dict) else None
-
     def artifact_path(self, run_id: str, artifact: str) -> Path:
-        """Path of a servable run artifact (results/archive/trace/...)."""
-        from repro.service.supervise import QUARANTINE_NAME
-
+        """Path of a servable run artifact file (results/archive/trace)."""
         names = {
             "results": "results.json",
             "archive": "archive.json",
             "trace": "trace.jsonl",
-            "outcome": OUTCOME_NAME,
-            "quarantine": QUARANTINE_NAME,
         }
         if artifact not in names:
             raise ConfigurationError(f"unknown artifact {artifact!r}")

@@ -23,9 +23,11 @@ Surface (see docs/service.md for the full API):
 Every handler is ``async`` and every blocking filesystem touch goes
 through :func:`asyncio.to_thread` — the event loop never waits on disk
 (lint rule SRV001 enforces this shape for all handlers under
-``repro.service``). On boot the server rescans its spool and re-enqueues
-every run without an ``outcome.json``; the child re-executes it with
-journal resume, so a SIGKILLed server finishes its work after restart.
+``repro.service``). Run state lives in lifecycle rows of the spool's
+results store, and the server is their only writer. On boot it reads
+them back and re-enqueues every run that is not terminal; the child
+re-executes it with journal resume, so a SIGKILLed server finishes its
+work after restart.
 """
 
 from __future__ import annotations
@@ -35,13 +37,16 @@ import json
 import multiprocessing
 import re
 import shutil
+import sqlite3
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError, GraphalyticsError
 from repro.faults import FaultPointError, IoFaultPlan
+from repro.resultsdb.store import STORE_NAME
 from repro.service.http import (
     EventStream,
     ProtocolError,
@@ -54,22 +59,18 @@ from repro.service.http import (
 )
 from repro.service.queue import FairShareQueue, QuotaExceeded
 from repro.service.runs import (
+    DONE,
+    FAILED,
     QUARANTINED,
     QUEUED,
     RUNNING,
     RunRecord,
     RunRegistry,
 )
-from repro.service.supervise import (
-    BreakerOpen,
-    RetryPolicy,
-    TenantBreaker,
-    record_attempt,
-    write_quarantine,
-)
+from repro.service.supervise import BreakerOpen, RetryPolicy, TenantBreaker
 from repro.service.tail import JournalTailer
 from repro.service.worker import execute_service_run
-from repro.trace import current_tracer
+from repro.trace import current_tracer, read_span_dicts
 
 __all__ = ["ServiceConfig", "BenchmarkService"]
 
@@ -172,7 +173,7 @@ class BenchmarkService:
     async def start(self) -> Tuple[str, int]:
         """Boot: recover the spool, start the scheduler and the listener."""
         self._wake = asyncio.Event()
-        resumable = self.registry.scan()
+        resumable = await asyncio.to_thread(self.registry.scan)
         for record in resumable:
             # Boot recovery routes through the same supervision
             # decision as an in-life child death: a run that already
@@ -221,6 +222,7 @@ class BenchmarkService:
         for task in self._monitors:
             task.cancel()
         await asyncio.gather(*self._monitors, return_exceptions=True)
+        await asyncio.to_thread(self.registry.close)
 
     # -- scheduler ---------------------------------------------------------
 
@@ -233,76 +235,76 @@ class BenchmarkService:
                 if item is None:
                     break
                 tenant, run_id = item
-                self._launch(tenant, run_id)
+                await self._launch(tenant, run_id)
             self._wake.clear()
             try:
                 await asyncio.wait_for(self._wake.wait(), timeout=1.0)
             except asyncio.TimeoutError:
                 pass
 
-    def _launch(self, tenant: str, run_id: str) -> None:
+    async def _launch(self, tenant: str, run_id: str) -> None:
         record = self.registry.records[run_id]
-        record.attempts += 1
-        try:
-            # Durable *before* the child starts: if the server dies
-            # mid-run, the restarted boot scan still counts this
-            # launch against the budget.
-            record_attempt(
-                self.registry.run_dir(run_id),
-                record.attempts,
-                at=current_tracer().clock.now(),
-            )
-        except OSError as exc:
-            warnings.warn(
-                f"could not persist attempt ledger for {run_id}: {exc}; "
-                f"supervision degrades to this server's lifetime",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        record.state = RUNNING
-        record.started_at = current_tracer().clock.now()
+        attempt = record.attempts + 1
+        now = current_tracer().clock.now()
+        # Durable *before* the child starts: if the server dies mid-run,
+        # the restarted boot scan still counts this launch against the
+        # budget.
+        await self._transition(
+            record,
+            state=RUNNING,
+            attempts=attempt,
+            history=[*record.history, {"attempt": attempt, "at": now}],
+            started_at=now,
+        )
+        reader, writer = multiprocessing.Pipe(duplex=False)
         proc = multiprocessing.Process(
             target=execute_service_run,
-            args=(str(self.registry.run_dir(run_id)),),
+            args=(str(self.registry.run_dir(run_id)), record.request()),
             kwargs={
                 "workers": record.workers or self.config.workers,
                 "job_timeout": record.job_timeout or self.config.job_timeout,
+                "outcome_pipe": writer,
             },
             name=f"service-run-{run_id}",
         )
-        proc.start()
+        with self.registry.store().idle():
+            proc.start()
+        writer.close()  # the child holds the only write end now
         self._children[run_id] = proc
         self._monitors.append(
-            asyncio.ensure_future(self._monitor(tenant, run_id, proc))
+            asyncio.ensure_future(self._monitor(tenant, run_id, proc, reader))
         )
 
     async def _monitor(
-        self, tenant: str, run_id: str, proc: multiprocessing.process.BaseProcess
+        self,
+        tenant: str,
+        run_id: str,
+        proc: multiprocessing.process.BaseProcess,
+        reader: Connection,
     ) -> None:
         """Wait (off-loop) for one run child; settle or supervise it.
 
-        A child that wrote ``outcome.json`` is terminal (the outcome is
-        the commit point, ``ok`` or not) and closes the tenant's
-        breaker circuit — a clean exit, even a failing one, proves the
-        tenant's runs are not *dying*. A child that exited without one
-        died mid-run: that is a breaker strike, and the run goes
-        through the supervision decision (relaunch with backoff, or
-        quarantine when the attempt budget is spent).
+        A child that delivered an outcome is terminal once the server
+        has recorded it (``ok`` or not) and closes the tenant's breaker
+        circuit — a clean exit, even a failing one, proves the tenant's
+        runs are not *dying*. A child that exited without one died
+        mid-run: that is a breaker strike, and the run goes through the
+        supervision decision (relaunch with backoff, or quarantine when
+        the attempt budget is spent).
         """
-        await asyncio.to_thread(proc.join)
+        outcome = await asyncio.to_thread(_collect_outcome, proc, reader)
         record = self.registry.records[run_id]
-        outcome = await asyncio.to_thread(self.registry.load_outcome, run_id)
         now = current_tracer().clock.now()
         self._children.pop(run_id, None)
         self.queue.release(tenant)
         if outcome is not None:
-            record.outcome = outcome
-            record.finished_at = now
-            if outcome.get("ok"):
-                record.state = "done"
-            else:
-                record.state = "failed"
-                record.error = str(outcome.get("error", ""))
+            await self._transition(
+                record,
+                state=DONE if outcome.get("ok") else FAILED,
+                outcome=outcome,
+                error=str(outcome.get("error", "")),
+                finished_at=now,
+            )
             self.breaker.record_success(tenant)
         elif self._stopping:
             # Graceful shutdown terminated the child mid-run. Not a
@@ -325,6 +327,29 @@ class BenchmarkService:
         if self._wake is not None:
             self._wake.set()
 
+    async def _transition(self, record: RunRecord, **changes) -> None:
+        """Record one lifecycle transition durably, then publish it.
+
+        The new row commits from a ``to_thread`` worker before the
+        in-memory record — what the API serves — changes, so a client
+        never sees a state the store does not hold. A failed write
+        warns instead of wedging the server: the run keeps going, and
+        a restart resumes it from its journal.
+        """
+        try:
+            await asyncio.to_thread(
+                self.registry.save, replace(record, **changes)
+            )
+        except (OSError, sqlite3.Error) as exc:
+            warnings.warn(
+                f"could not record the {changes.get('state', record.state)}"
+                f" transition of {record.run_id} in the spool store: {exc}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        for name, value in changes.items():
+            setattr(record, name, value)
+
     # -- supervision -------------------------------------------------------
 
     async def _supervise(
@@ -338,7 +363,7 @@ class BenchmarkService:
         quarantine — durable, terminal, visible.
         """
         if self.retry_policy.exhausted(record.attempts):
-            await asyncio.to_thread(self._quarantine, record, reason)
+            await self._quarantine(record, reason)
             return
         record.state = QUEUED
         record.error = reason
@@ -363,21 +388,23 @@ class BenchmarkService:
         if self._wake is not None:
             self._wake.set()
 
-    def _quarantine(self, record: RunRecord, reason: str) -> None:
-        """Write ``quarantine.json`` and settle the record terminally."""
-        payload = {
-            "run_id": record.run_id,
-            "tenant": record.tenant,
-            "attempts": record.attempts,
-            "budget": self.config.run_attempts,
-            "reason": reason,
-            "quarantined_at": current_tracer().clock.now(),
-        }
-        write_quarantine(self.registry.run_dir(record.run_id), payload)
-        record.quarantine = payload
-        record.state = QUARANTINED
-        record.error = reason
-        record.finished_at = current_tracer().clock.now()
+    async def _quarantine(self, record: RunRecord, reason: str) -> None:
+        """Settle the record terminally ``quarantined``, durably."""
+        now = current_tracer().clock.now()
+        await self._transition(
+            record,
+            state=QUARANTINED,
+            quarantine={
+                "run_id": record.run_id,
+                "tenant": record.tenant,
+                "attempts": record.attempts,
+                "budget": self.config.run_attempts,
+                "reason": reason,
+                "quarantined_at": now,
+            },
+            error=reason,
+            finished_at=now,
+        )
 
     # -- HTTP front --------------------------------------------------------
 
@@ -491,13 +518,15 @@ class BenchmarkService:
         try:
             self.queue.submit(tenant, record.run_id)
         except QuotaExceeded:
-            # Rejected after spooling: mark the directory terminal so a
+            # Rejected after spooling: settle the row terminally so a
             # restart does not resurrect a run the client was told to
             # retry.
-            record.state = "failed"
-            record.error = "rejected: tenant queue-depth quota"
-            await asyncio.to_thread(
-                self._write_rejection, record.run_id, record.error
+            reason = "rejected: tenant queue-depth quota"
+            await self._transition(
+                record,
+                state=FAILED,
+                outcome={"ok": False, "error": reason},
+                error=reason,
             )
             raise
         if self._wake is not None:
@@ -510,16 +539,6 @@ class BenchmarkService:
                 "events": f"/v1/runs/{record.run_id}/events",
             },
             status=202,
-        )
-
-    def _write_rejection(self, run_id: str, reason: str) -> None:
-        from repro.ioutil import atomic_write
-        from repro.service.runs import OUTCOME_NAME
-
-        atomic_write(
-            self.registry.run_dir(run_id) / OUTCOME_NAME,
-            json.dumps({"ok": False, "error": reason}, indent=1),
-            fault_point="service.spool.outcome",
         )
 
     async def _handle_list(
@@ -561,9 +580,7 @@ class BenchmarkService:
         usage = await asyncio.to_thread(
             shutil.disk_usage, str(self.registry.spool)
         )
-        store_stats = await asyncio.to_thread(
-            _store_stats, self.registry.spool
-        )
+        store_stats = await asyncio.to_thread(_store_stats, self.registry)
         breakers = self.breaker.state(now=now)
         quarantined = sorted(
             record.run_id
@@ -599,16 +616,10 @@ class BenchmarkService:
             }
         )
 
-    def _record_or_none(self, run_id: str) -> Optional[RunRecord]:
-        try:
-            return self.registry.records.get(run_id)
-        except KeyError:  # pragma: no cover - dict.get never raises
-            return None
-
     async def _handle_run(
         self, request: Request, writer: asyncio.StreamWriter, run_id: str
     ) -> Response:
-        record = self._record_or_none(run_id)
+        record = self.registry.records.get(run_id)
         if record is None:
             return error_response(404, f"unknown run {run_id!r}")
         return json_response(record.status_payload())
@@ -620,26 +631,33 @@ class BenchmarkService:
         run_id: str,
         artifact: str,
     ) -> Response:
-        record = self._record_or_none(run_id)
+        record = self.registry.records.get(run_id)
         if record is None:
             return error_response(404, f"unknown run {run_id!r}")
-        path = self.registry.artifact_path(run_id, artifact)
-        body = await asyncio.to_thread(_read_artifact, path)
+        content_type = "application/json"
+        if artifact in ("outcome", "quarantine"):
+            # Lifecycle documents live in the run's row; the record
+            # mirrors the row, so no store read is needed.
+            document = getattr(record, artifact)
+            body = None if document is None else json.dumps(
+                document, indent=1, sort_keys=True
+            ).encode("utf-8")
+        else:
+            path = self.registry.artifact_path(run_id, artifact)
+            body = await asyncio.to_thread(_read_artifact, path)
+            if path.suffix != ".json":
+                content_type = "application/x-ndjson"
         if body is None:
             return error_response(
                 404, f"run {run_id!r} has no {artifact} artifact (yet)"
             )
-        content_type = (
-            "application/json" if path.suffix == ".json"
-            else "application/x-ndjson"
-        )
         return Response(status=200, body=body, content_type=content_type)
 
     async def _handle_events(
         self, request: Request, writer: asyncio.StreamWriter, run_id: str
     ) -> Optional[Response]:
         """Stream the run's journal, then its trace spans, as SSE."""
-        record = self._record_or_none(run_id)
+        record = self.registry.records.get(run_id)
         if record is None:
             return error_response(404, f"unknown run {run_id!r}")
         try:
@@ -672,32 +690,46 @@ class BenchmarkService:
                 await stream.ping()
             await asyncio.sleep(self.config.poll_interval)
         trace_path = self.registry.artifact_path(run_id, "trace")
-        spans = await asyncio.to_thread(_load_trace_spans, trace_path)
+        spans = await asyncio.to_thread(read_span_dicts, trace_path)
         for span in spans:
             await stream.send("span", span)
         await stream.send("end", record.status_payload())
         return None  # the stream was the response
 
 
-def _store_stats(spool: Path) -> Dict[str, object]:
+def _store_stats(registry: RunRegistry) -> Dict[str, object]:
     """The spool results-store statistics for ``/v1/healthz``.
 
-    Run children create ``<spool>/results.db`` at their terminal
-    commit; before any run has finished the store does not exist and
+    The store is created by the first submission; before it exists
     healthz reports zeros without creating the file. Runs on a
     ``to_thread`` worker: opening and counting is filesystem work the
     event loop must not wait on.
     """
-    from repro.resultsdb.store import STORE_NAME, ResultsStore
-
-    path = spool / STORE_NAME
+    path = registry.spool / STORE_NAME
     if not path.exists():
         return {
             "path": str(path), "runs": 0, "jobs": 0, "spans": 0,
             "sla_breaches": 0, "db_bytes": 0,
         }
-    with ResultsStore(path) as store:
-        return store.stats()
+    return registry.store().stats()
+
+
+def _collect_outcome(
+    proc: multiprocessing.process.BaseProcess, reader: Connection
+) -> Optional[Dict[str, object]]:
+    """Join a run child; the outcome it delivered, ``None`` if it died.
+
+    The child sends its small outcome before exiting, so after the join
+    it is buffered or was never sent. ``poll`` does not wait on
+    grandchildren that inherited the write end.
+    """
+    proc.join()
+    try:
+        return reader.recv() if reader.poll() else None
+    except (EOFError, OSError):
+        return None
+    finally:
+        reader.close()
 
 
 def _read_artifact(path: Path) -> Optional[bytes]:
@@ -707,14 +739,3 @@ def _read_artifact(path: Path) -> Optional[bytes]:
             return handle.read()
     except FileNotFoundError:
         return None
-
-
-def _load_trace_spans(path: Path) -> List[Dict[str, object]]:
-    """The run's exported spans as plain dicts (empty when untraced)."""
-    from repro.trace import read_trace
-
-    try:
-        spans, _counters = read_trace(path)
-    except (FileNotFoundError, json.JSONDecodeError):
-        return []
-    return [span.as_dict() for span in spans]

@@ -1,19 +1,18 @@
 """Run supervision: attempt budgets, quarantine, tenant circuit breaker.
 
-PR 7's restart story had a hole the chaos suite could drive a truck
-through: a run whose child died without ``outcome.json`` was failed
-forever inside a living server, yet re-enqueued on *every* restart — a
-poison run (bad dataset, platform bug, hostile chaos plan) crash-looped
-the boot scan unboundedly. This module gives the service the same
-discipline the job scheduler already applies to individual jobs:
+A run whose child dies without delivering an outcome must neither be
+failed forever inside a living server nor re-enqueued on *every*
+restart — a poison run (bad dataset, platform bug, hostile chaos plan)
+would crash-loop the boot scan unboundedly. The service applies the
+same discipline the job scheduler already applies to individual jobs:
 
-* an **attempt ledger** (``supervise.json``) records every launch
-  durably *before* the child starts, so attempt counts survive server
-  SIGKILL — the budget is enforced across restarts, not per server
-  lifetime;
-* a **quarantine record** (``quarantine.json``) marks a run that
-  exhausted its budget as terminally ``quarantined``: the spool keeps
-  the journal and artifacts for post-mortem, the boot scan stops
+* an **attempt ledger** in the run's lifecycle row (``attempts`` plus a
+  per-launch ``history``) records every launch durably *before* the
+  child starts, so attempt counts survive server SIGKILL — the budget
+  is enforced across restarts, not per server lifetime;
+* a **quarantine record** in the same row marks a run that exhausted
+  its budget as terminally ``quarantined``: the spool keeps the
+  journal and artifacts for post-mortem, the boot scan stops
   resurrecting it, and the API/CLI surface why;
 * a **per-tenant circuit breaker** sheds new submissions with ``503 +
   Retry-After`` while a tenant's runs keep dying, so one tenant's
@@ -26,28 +25,16 @@ for both in-life child death and boot-scan recovery.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
 from repro.exceptions import GraphalyticsError
-from repro.ioutil import atomic_write
 
 __all__ = [
-    "SUPERVISE_NAME",
-    "QUARANTINE_NAME",
     "BreakerOpen",
     "RetryPolicy",
     "TenantBreaker",
-    "record_attempt",
-    "load_supervision",
-    "write_quarantine",
-    "load_quarantine",
 ]
-
-SUPERVISE_NAME = "supervise.json"
-QUARANTINE_NAME = "quarantine.json"
 
 
 class BreakerOpen(GraphalyticsError):
@@ -56,83 +43,6 @@ class BreakerOpen(GraphalyticsError):
     def __init__(self, message: str, *, retry_after: float):
         super().__init__(message)
         self.retry_after = retry_after
-
-
-# -- the attempt ledger -------------------------------------------------------
-
-def record_attempt(
-    run_dir: Union[str, Path], attempt: int, *, at: float
-) -> Dict[str, object]:
-    """Durably record launch number ``attempt`` before the child starts.
-
-    Written *pre*-launch on purpose: if the server dies between the
-    write and the child finishing, the restarted server still counts
-    the launch — the budget bounds real executions, not observed
-    deaths. The whole ledger is rewritten atomically (it is tiny) via
-    the ``service.spool.supervise`` fault point.
-    """
-    run_dir = Path(run_dir)
-    ledger = load_supervision(run_dir)
-    history = list(ledger.get("history", []))
-    history.append({"attempt": attempt, "at": at})
-    ledger = {"attempts": attempt, "history": history}
-    atomic_write(
-        run_dir / SUPERVISE_NAME,
-        json.dumps(ledger, indent=1, sort_keys=True),
-        fault_point="service.spool.supervise",
-    )
-    return ledger
-
-
-def load_supervision(run_dir: Union[str, Path]) -> Dict[str, object]:
-    """The run's attempt ledger; ``{"attempts": 0}`` when absent/corrupt.
-
-    Corruption tolerance matters: the ledger is advisory bookkeeping,
-    and a torn one must never block the boot scan (the same contract
-    :meth:`RunRegistry.scan` applies to ``request.json``).
-    """
-    path = Path(run_dir) / SUPERVISE_NAME
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return {"attempts": 0, "history": []}
-    if not isinstance(loaded, dict):
-        return {"attempts": 0, "history": []}
-    try:
-        attempts = int(loaded.get("attempts", 0))
-    except (TypeError, ValueError):
-        attempts = 0
-    history = loaded.get("history")
-    return {
-        "attempts": attempts,
-        "history": history if isinstance(history, list) else [],
-    }
-
-
-# -- quarantine ---------------------------------------------------------------
-
-def write_quarantine(
-    run_dir: Union[str, Path], payload: Dict[str, object]
-) -> Path:
-    """Mark a run terminally quarantined (atomic; survives restarts)."""
-    return atomic_write(
-        Path(run_dir) / QUARANTINE_NAME,
-        json.dumps(payload, indent=1, sort_keys=True),
-        fault_point="service.spool.supervise",
-    )
-
-
-def load_quarantine(
-    run_dir: Union[str, Path]
-) -> Optional[Dict[str, object]]:
-    path = Path(run_dir) / QUARANTINE_NAME
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return loaded if isinstance(loaded, dict) else None
 
 
 # -- retry policy -------------------------------------------------------------

@@ -17,7 +17,10 @@ the server. That buys three properties the service contract needs:
 :func:`execute_service_run` is the ``multiprocessing.Process`` target.
 It is a lint-recognized worker entrypoint (the RACE rules police it),
 so it mutates no module globals — everything it touches lives in the
-run directory it is handed.
+run directory it is handed. It gets its request as arguments and hands
+its outcome back over a pipe; the server, the only writer of lifecycle
+rows, records it. The child's one store write is the run's own results
+commit, on a connection of its own.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Mapping, Optional, Union
 
 from repro.faults import IoFaultPlan, install_io_plan
 from repro.ioutil import atomic_write
@@ -38,7 +41,6 @@ from repro.runtime.executor import (
     resolve_workers,
 )
 from repro.runtime.journal import RunJournal, config_from_payload
-from repro.service.runs import OUTCOME_NAME, REQUEST_NAME
 from repro.trace import Tracer, use_tracer
 
 __all__ = ["execute_service_run", "run_outcome_payload"]
@@ -71,7 +73,7 @@ def _start_parent_watchdog(parent_pid: int) -> threading.Thread:
 
 
 def run_outcome_payload(result, *, elapsed: float) -> Dict[str, object]:
-    """The terminal ``outcome.json`` body for a finished run."""
+    """The terminal outcome of a finished run."""
     database = result.database
     sla_breaches = sum(1 for row in database if not row.sla_compliant)
     payload = {
@@ -100,8 +102,8 @@ def _commit_to_store(run_dir: Path, request, result, outcome) -> None:
 
     Part of the run's terminal commit: the job rows, the exported
     ``trace.jsonl`` spans, and the SLA breaches enter
-    ``<spool>/results.db`` in one transaction right before
-    ``outcome.json`` lands. ``replace`` semantics (inside
+    ``<spool>/results.db`` in one transaction right before the outcome
+    goes back to the server. ``replace`` semantics (inside
     :func:`~repro.resultsdb.store.commit_service_run`) make the write
     idempotent across relaunches — a child SIGKILLed at the
     ``resultsdb.commit`` fault point re-commits the run whole on its
@@ -127,21 +129,25 @@ def _commit_to_store(run_dir: Path, request, result, outcome) -> None:
 
 def execute_service_run(
     run_dir: Union[str, Path],
+    request: Mapping[str, object],
     *,
     workers: Union[int, str, None] = "auto",
     job_timeout: Optional[float] = None,
     watchdog: bool = True,
-) -> int:
-    """Execute (or resume) the run spooled at ``run_dir``; returns 0/1.
+    outcome_pipe=None,
+) -> Dict[str, object]:
+    """Execute (or resume) one run in ``run_dir``; returns its outcome.
 
-    Reads ``request.json``, runs the matrix through the journaled
-    runtime — resuming from ``journal.jsonl`` when one exists, so a
-    rerun after a crash completes the remainder instead of starting
-    over — then writes ``archive.json`` (the run's Granula performance
-    archive), commits the run's rows, spans, and SLA breaches into the
-    spool's shared results store, and finally writes ``outcome.json``.
-    The outcome write is the commit point: the server treats a run
-    directory without one as unfinished work to re-enqueue.
+    ``request`` carries the run id, tenant, normalized matrix and
+    optional chaos plan. The matrix runs through the journaled runtime
+    — resuming from ``journal.jsonl`` when one exists, so a rerun after
+    a crash completes the remainder instead of starting over — then
+    ``archive.json`` (the run's Granula performance archive) is written
+    and the run's rows, spans, and SLA breaches are committed into the
+    spool's shared results store. The outcome goes back over
+    ``outcome_pipe`` (the write end of a ``multiprocessing.Pipe``) when
+    one is given. A run whose outcome the server never receives is
+    unfinished work: the server supervises it like a death.
     """
     run_dir = Path(run_dir)
     if watchdog:
@@ -152,13 +158,11 @@ def execute_service_run(
     with use_tracer(tracer):
         started = tracer.clock.now()
         try:
-            with open(run_dir / REQUEST_NAME, "r", encoding="utf-8") as handle:
-                request = json.load(handle)
             chaos = request.get("chaos")
             if chaos:
                 # The submission carried a seeded I/O fault plan: arm
                 # it in this child (and only this child) before any
-                # journal or artifact write happens. Riding the spooled
+                # journal or artifact write happens. Riding the stored
                 # request means a relaunched attempt re-arms the same
                 # plan — chaos follows the run, not the server.
                 install_io_plan(IoFaultPlan.from_dict(chaos))
@@ -186,9 +190,10 @@ def execute_service_run(
                 "error": f"{type(exc).__name__}: {exc}",
                 "elapsed_seconds": tracer.clock.now() - started,
             }
-        atomic_write(
-            run_dir / OUTCOME_NAME,
-            json.dumps(outcome, indent=1, sort_keys=True),
-            fault_point="service.spool.outcome",
-        )
-    return 0 if outcome.get("ok") else 1
+    if outcome_pipe is not None:
+        try:
+            outcome_pipe.send(outcome)
+        except OSError:
+            pass  # the server is gone; its successor resumes the run
+        outcome_pipe.close()
+    return outcome

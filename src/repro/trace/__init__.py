@@ -35,6 +35,7 @@ from repro.trace.tracer import (
     Tracer,
     counter,
     current_tracer,
+    read_span_dicts,
     read_trace,
     set_tracer,
     span,
@@ -54,6 +55,7 @@ __all__ = [
     "use_tracer",
     "span",
     "counter",
+    "read_span_dicts",
     "read_trace",
     "write_trace",
     "rebase_spans",

@@ -316,6 +316,15 @@ def read_trace(
     return spans, counters
 
 
+def read_span_dicts(path: Union[str, Path]) -> List[Dict[str, object]]:
+    """A trace file's spans as plain dicts; empty when absent or torn."""
+    try:
+        spans, _counters = read_trace(path)
+    except (OSError, ValueError):  # JSONDecodeError is a ValueError
+        return []
+    return [span.as_dict() for span in spans]
+
+
 # -- the current tracer ------------------------------------------------------
 
 # The tracer registry is deliberately per-process: each pool worker

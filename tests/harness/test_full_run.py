@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.full_run import run_full_benchmark
-from repro.harness.repository import ResultsRepository
+from repro.resultsdb.store import ResultsStore
 
 
 class TestSelectedExperiments:
@@ -35,15 +35,18 @@ class TestSelectedExperiments:
 
 class TestRepositorySubmission:
     def test_validated_run_submitted(self, tmp_path):
-        repo = ResultsRepository(tmp_path / "repo")
-        run_full_benchmark(
-            experiment_ids=["algorithm-variety"],
-            repository=repo,
-            seed=3,
-        )
-        assert repo.run_ids() == ["full-run-seed3"]
-        stored = repo.load("full-run-seed3")
-        assert len(stored) > 0
+        with ResultsStore(tmp_path / "repo" / "results.db") as store:
+            result = run_full_benchmark(
+                experiment_ids=["algorithm-variety"],
+                store=store,
+                seed=3,
+            )
+            assert store.run_ids() == ["full-run-seed3"]
+            stored = store.run_records("full-run-seed3")
+            assert len(stored) == result.job_count > 0
+            assert store.run_metadata("full-run-seed3")[
+                "system_under_test"
+            ] == "simulated Table 5 platforms on DAS-5 model"
 
 
 @pytest.mark.slow

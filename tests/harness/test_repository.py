@@ -1,13 +1,21 @@
-"""Tests for the public results repository."""
+"""Tests for the public results repository: the store behind submit_run.
 
-import json
+The paper's repository (Figure 1, boxes 11-12) is a
+:class:`~repro.resultsdb.store.ResultsStore`; harness runs enter it
+through :func:`~repro.harness.full_run.submit_run`, which keeps the rule
+that only validated results are stored, and the cross-run questions are
+the canned queries behind ``graphalytics db top|regressions``.
+"""
+
 import multiprocessing
 
 import pytest
 
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.harness.repository import Regression, ResultsRepository, RunMetadata
+from repro.harness.full_run import submit_run
 from repro.harness.results import BenchmarkResult, ResultsDatabase
+from repro.resultsdb import queries
+from repro.resultsdb.store import STORE_NAME, ResultsStore
 
 
 def make_result(**overrides):
@@ -26,9 +34,26 @@ def make_result(**overrides):
     return BenchmarkResult(**defaults)
 
 
+def meta(run_id, system_under_test="sut", **extra):
+    return {
+        "run_id": run_id,
+        "system_under_test": system_under_test,
+        "submitter": "",
+        "description": "",
+        **extra,
+    }
+
+
+def load(store, run_id):
+    return ResultsDatabase(
+        [BenchmarkResult(**record) for record in store.run_records(run_id)]
+    )
+
+
 @pytest.fixture
 def repo(tmp_path):
-    return ResultsRepository(tmp_path / "repo")
+    with ResultsStore(tmp_path / "repo" / STORE_NAME) as store:
+        yield store
 
 
 @pytest.fixture
@@ -37,48 +62,53 @@ def database():
 
 
 class TestMetadata:
-    def test_valid(self):
-        meta = RunMetadata("run-1", "GraphMat on DAS-5")
-        assert meta.run_id == "run-1"
+    def test_valid(self, repo, database):
+        assert submit_run(repo, meta("run-1", "GraphMat on DAS-5"), database) == (
+            "run-1"
+        )
 
-    def test_invalid_run_id(self):
+    def test_invalid_run_id(self, repo, database):
         with pytest.raises(ConfigurationError, match="run id"):
-            RunMetadata("bad/id", "sut")
+            submit_run(repo, meta("bad/id"), database)
+        assert repo.run_ids() == []
 
-    def test_empty_sut(self):
+    def test_empty_sut(self, repo, database):
         with pytest.raises(ConfigurationError, match="system_under_test"):
-            RunMetadata("run-1", "")
+            submit_run(repo, meta("run-1", ""), database)
+        assert repo.run_ids() == []
 
 
 class TestSubmission:
     def test_submit_and_reload(self, repo, database):
-        meta = RunMetadata("run-1", "GraphMat on DAS-5", submitter="intel")
-        path = repo.submit(meta, database)
-        assert path.exists()
+        submit_run(
+            repo, meta("run-1", "GraphMat on DAS-5", submitter="intel"),
+            database,
+        )
+        assert repo.path.exists()
         assert repo.run_ids() == ["run-1"]
-        assert repo.metadata("run-1").submitter == "intel"
-        loaded = repo.load("run-1")
+        assert repo.run_metadata("run-1")["submitter"] == "intel"
+        loaded = load(repo, "run-1")
         assert len(loaded) == 1
         assert loaded.one(platform="GraphMat").modeled_processing_time == 0.3
 
     def test_duplicate_rejected(self, repo, database):
-        meta = RunMetadata("run-1", "sut")
-        repo.submit(meta, database)
+        submit_run(repo, meta("run-1"), database)
         with pytest.raises(ConfigurationError, match="already exists"):
-            repo.submit(meta, database)
+            submit_run(repo, meta("run-1"), database)
 
     def test_empty_run_rejected(self, repo):
         with pytest.raises(ConfigurationError, match="empty run"):
-            repo.submit(RunMetadata("run-1", "sut"), ResultsDatabase())
+            submit_run(repo, meta("run-1"), ResultsDatabase())
 
     def test_unvalidated_results_rejected(self, repo):
         db = ResultsDatabase([make_result(validated=None)])
         with pytest.raises(ValidationError, match="lack output validation"):
-            repo.submit(RunMetadata("run-1", "sut"), db)
+            submit_run(repo, meta("run-1"), db)
+        assert repo.run_ids() == []
 
     def test_unvalidated_allowed_when_opted_out(self, repo):
         db = ResultsDatabase([make_result(validated=None)])
-        repo.submit(RunMetadata("run-1", "sut"), db, require_validation=False)
+        submit_run(repo, meta("run-1"), db, require_validation=False)
         assert repo.run_ids() == ["run-1"]
 
     def test_failed_jobs_do_not_need_validation(self, repo):
@@ -86,32 +116,32 @@ class TestSubmission:
             [make_result(), make_result(status="crashed", validated=None,
                                         sla_compliant=False)]
         )
-        repo.submit(RunMetadata("run-1", "sut"), db)
+        submit_run(repo, meta("run-1"), db)
 
     def test_unknown_run(self, repo):
         with pytest.raises(ConfigurationError, match="unknown run"):
-            repo.load("nope")
+            load(repo, "nope")
 
 
-def _submit_burst(root, prefix, count, barrier):
+def _submit_burst(path, prefix, count, barrier):
     """Child-process writer: submit ``count`` runs as fast as possible."""
-    repo = ResultsRepository(root)
     database = ResultsDatabase([make_result()])
-    barrier.wait(timeout=30)
-    for index in range(count):
-        repo.submit(RunMetadata(f"{prefix}-{index}", "sut"), database)
+    with ResultsStore(path) as store:
+        barrier.wait(timeout=30)
+        for index in range(count):
+            submit_run(store, meta(f"{prefix}-{index}"), database)
 
 
-def _submit_same_run(root, run_id, barrier, queue):
+def _submit_same_run(path, run_id, barrier, queue):
     """Child-process writer: claim one fixed run id; report the verdict."""
-    repo = ResultsRepository(root)
     database = ResultsDatabase([make_result()])
-    barrier.wait(timeout=30)
-    try:
-        repo.submit(RunMetadata(run_id, "sut"), database)
-        queue.put("stored")
-    except ConfigurationError:
-        queue.put("duplicate")
+    with ResultsStore(path) as store:
+        barrier.wait(timeout=30)
+        try:
+            submit_run(store, meta(run_id), database)
+            queue.put("stored")
+        except ConfigurationError:
+            queue.put("duplicate")
 
 
 class TestConcurrentSubmission:
@@ -128,13 +158,13 @@ class TestConcurrentSubmission:
     WRITERS = 8
 
     def test_eight_writers_lose_no_runs(self, tmp_path):
-        root = tmp_path / "repo"
+        path = tmp_path / "repo" / STORE_NAME
         count = 5
         prefixes = [f"w{n}" for n in range(self.WRITERS)]
         barrier = multiprocessing.Barrier(self.WRITERS + 1)
         writers = [
             multiprocessing.Process(
-                target=_submit_burst, args=(str(root), prefix, count, barrier)
+                target=_submit_burst, args=(str(path), prefix, count, barrier)
             )
             for prefix in prefixes
         ]
@@ -144,23 +174,23 @@ class TestConcurrentSubmission:
         for proc in writers:
             proc.join(timeout=120)
             assert proc.exitcode == 0
-        repo = ResultsRepository(root)
         expected = {f"{prefix}-{index}"
                     for prefix in prefixes for index in range(count)}
-        assert set(repo.run_ids()) == expected
-        # Every stored run is also loadable in full: no torn rows.
-        for run_id in expected:
-            assert len(repo.load(run_id)) == 1
+        with ResultsStore(path) as store:
+            assert set(store.run_ids()) == expected
+            # Every stored run is also loadable in full: no torn rows.
+            for run_id in expected:
+                assert len(load(store, run_id)) == 1
 
     def test_duplicate_run_id_rejected_exactly_once(self, tmp_path):
         """Of N processes claiming one run id, exactly one wins."""
-        root = tmp_path / "repo"
+        path = tmp_path / "repo" / STORE_NAME
         barrier = multiprocessing.Barrier(self.WRITERS + 1)
         queue = multiprocessing.Queue()
         writers = [
             multiprocessing.Process(
                 target=_submit_same_run,
-                args=(str(root), "contested", barrier, queue),
+                args=(str(path), "contested", barrier, queue),
             )
             for _ in range(self.WRITERS)
         ]
@@ -173,14 +203,14 @@ class TestConcurrentSubmission:
         verdicts = [queue.get(timeout=10) for _ in range(self.WRITERS)]
         assert verdicts.count("stored") == 1
         assert verdicts.count("duplicate") == self.WRITERS - 1
-        repo = ResultsRepository(root)
-        assert repo.run_ids() == ["contested"]
-        assert len(repo.load("contested")) == 1
+        with ResultsStore(path) as store:
+            assert store.run_ids() == ["contested"]
+            assert len(load(store, "contested")) == 1
 
-    def test_no_sidecar_files(self, tmp_path, repo, database):
+    def test_no_sidecar_files(self, repo, database):
         """The flock sidecar and shadow index are gone for good."""
-        repo.submit(RunMetadata("run-1", "sut"), database)
-        names = {p.name for p in repo.root.iterdir()}
+        submit_run(repo, meta("run-1"), database)
+        names = {p.name for p in repo.path.parent.iterdir()}
         assert ".lock" not in names
         assert ".index.json" not in names
 
@@ -189,139 +219,92 @@ class TestConcurrentSubmission:
 
         The legacy locking degraded to a no-op where ``fcntl`` failed
         to import; the store's transactions must not care. Hide the
-        module, reload the repository module against the hidden world,
-        and check both duplicate rejection and that nothing in the
-        module references fcntl anymore.
+        module, reload the store module against the hidden world, and
+        check both duplicate rejection and that nothing in the module
+        references fcntl.
         """
         import importlib
         import sys
 
-        import repro.harness.repository as repository_module
+        import repro.resultsdb.store as store_module
 
         monkeypatch.setitem(sys.modules, "fcntl", None)
-        reloaded = importlib.reload(repository_module)
+        reloaded = importlib.reload(store_module)
         try:
             assert not hasattr(reloaded, "fcntl")
-            repo = reloaded.ResultsRepository(tmp_path / "repo")
             database = ResultsDatabase([make_result()])
-            repo.submit(reloaded.RunMetadata("run-1", "sut"), database)
-            with pytest.raises(ConfigurationError, match="already exists"):
-                repo.submit(reloaded.RunMetadata("run-1", "sut"), database)
-            assert repo.run_ids() == ["run-1"]
+            with reloaded.ResultsStore(tmp_path / "repo" / STORE_NAME) as store:
+                submit_run(store, meta("run-1"), database)
+                with pytest.raises(ConfigurationError, match="already exists"):
+                    submit_run(store, meta("run-1"), database)
+                assert store.run_ids() == ["run-1"]
         finally:
             monkeypatch.delitem(sys.modules, "fcntl")
-            importlib.reload(repository_module)
-
-
-class TestLegacyAbsorption:
-    """A directory of pre-store JSON archives answers through the facade."""
-
-    def _write_legacy_archive(self, root, run_id, tproc=0.3):
-        payload = {
-            "metadata": {
-                "run_id": run_id,
-                "system_under_test": "legacy sut",
-                "submitter": "",
-                "description": "",
-            },
-            "results": [make_result(modeled_processing_time=tproc).as_dict()],
-        }
-        root.mkdir(parents=True, exist_ok=True)
-        (root / f"{run_id}.json").write_text(json.dumps(payload, indent=1))
-
-    def test_legacy_archives_absorbed(self, tmp_path):
-        root = tmp_path / "repo"
-        self._write_legacy_archive(root, "old-1")
-        self._write_legacy_archive(root, "old-2", tproc=0.1)
-        repo = ResultsRepository(root)
-        assert repo.run_ids() == ["old-1", "old-2"]
-        assert repo.load("old-1").one(platform="GraphMat").validated is True
-        best = repo.best_platform("bfs", "D300")
-        assert best["run_id"] == "old-2"
-        # The archives stay in place; absorption is read-only.
-        assert (root / "old-1.json").exists()
-
-    def test_absorption_is_idempotent_and_mixes_eras(self, tmp_path):
-        root = tmp_path / "repo"
-        self._write_legacy_archive(root, "old-1")
-        repo = ResultsRepository(root)
-        repo.submit(
-            RunMetadata("new-1", "sut"), ResultsDatabase([make_result()])
-        )
-        again = ResultsRepository(root)  # re-opening must not re-import
-        assert again.run_ids() == ["new-1", "old-1"]
-
-    def test_foreign_json_ignored(self, tmp_path):
-        root = tmp_path / "repo"
-        root.mkdir(parents=True)
-        (root / "notes.json").write_text(json.dumps({"hello": "world"}))
-        (root / "torn.json").write_text('{"metadata": {')
-        repo = ResultsRepository(root)
-        assert repo.run_ids() == []
+            importlib.reload(store_module)
 
 
 class TestCrossRunAnalysis:
     def test_best_platform(self, repo):
-        repo.submit(
-            RunMetadata("vendor-a", "A"),
+        submit_run(
+            repo, meta("vendor-a", "A"),
             ResultsDatabase([make_result(platform="A", modeled_processing_time=2.0)]),
         )
-        repo.submit(
-            RunMetadata("vendor-b", "B"),
+        submit_run(
+            repo, meta("vendor-b", "B"),
             ResultsDatabase([make_result(platform="B", modeled_processing_time=0.5)]),
         )
-        best = repo.best_platform("bfs", "D300")
+        best = queries.best_platform(repo, "bfs", "D300")
         assert best["platform"] == "B"
         assert best["run_id"] == "vendor-b"
 
     def test_best_platform_ignores_sla_breakers(self, repo):
-        repo.submit(
-            RunMetadata("r", "sut"),
+        submit_run(
+            repo, meta("r"),
             ResultsDatabase(
                 [make_result(modeled_processing_time=0.1, sla_compliant=False)]
             ),
             require_validation=False,
         )
-        assert repo.best_platform("bfs", "D300") is None
+        assert queries.best_platform(repo, "bfs", "D300") is None
 
     def test_best_platform_no_match(self, repo, database):
-        repo.submit(RunMetadata("r", "sut"), database)
-        assert repo.best_platform("sssp", "R4") is None
+        submit_run(repo, meta("r"), database)
+        assert queries.best_platform(repo, "sssp", "R4") is None
 
     def test_regression_detection(self, repo):
-        repo.submit(
-            RunMetadata("v1", "sut"),
+        submit_run(
+            repo, meta("v1"),
             ResultsDatabase([make_result(modeled_processing_time=1.0)]),
         )
-        repo.submit(
-            RunMetadata("v2", "sut"),
+        submit_run(
+            repo, meta("v2"),
             ResultsDatabase([make_result(modeled_processing_time=1.5)]),
         )
-        regressions = repo.regressions("v1", "v2")
+        regressions = queries.regressions(repo, "v1", "v2")
         assert len(regressions) == 1
         assert regressions[0].slowdown == pytest.approx(1.5)
 
     def test_no_regression_below_threshold(self, repo):
-        repo.submit(
-            RunMetadata("v1", "sut"),
+        submit_run(
+            repo, meta("v1"),
             ResultsDatabase([make_result(modeled_processing_time=1.0)]),
         )
-        repo.submit(
-            RunMetadata("v2", "sut"),
+        submit_run(
+            repo, meta("v2"),
             ResultsDatabase([make_result(modeled_processing_time=1.05)]),
         )
-        assert repo.regressions("v1", "v2") == []
+        assert queries.regressions(repo, "v1", "v2") == []
 
     def test_improvements_are_not_regressions(self, repo):
-        repo.submit(
-            RunMetadata("v1", "sut"),
+        submit_run(
+            repo, meta("v1"),
             ResultsDatabase([make_result(modeled_processing_time=1.0)]),
         )
-        repo.submit(
-            RunMetadata("v2", "sut"),
+        submit_run(
+            repo, meta("v2"),
             ResultsDatabase([make_result(modeled_processing_time=0.5)]),
         )
-        assert repo.regressions("v1", "v2") == []
+        assert queries.regressions(repo, "v1", "v2") == []
 
     def test_regressions_sorted_by_slowdown(self, repo):
         old = ResultsDatabase(
@@ -336,7 +319,7 @@ class TestCrossRunAnalysis:
                 make_result(dataset="G22", modeled_processing_time=5.0),
             ]
         )
-        repo.submit(RunMetadata("v1", "sut"), old)
-        repo.submit(RunMetadata("v2", "sut"), new)
-        regressions = repo.regressions("v1", "v2")
+        submit_run(repo, meta("v1"), old)
+        submit_run(repo, meta("v2"), new)
+        regressions = queries.regressions(repo, "v1", "v2")
         assert [r.dataset for r in regressions] == ["G22", "D300"]

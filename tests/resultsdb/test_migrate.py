@@ -292,18 +292,22 @@ class TestAnswerIdentity:
                 ]
                 assert got == _json_regressions(root, old, new)
 
-    def test_facade_queries_match_over_a_migrated_directory(self, tmp_path):
-        # The old public API, pointed at the migrated directory, keeps
-        # answering — the facade absorbs the archives through the same
-        # store the import wrote.
-        from repro.harness.repository import ResultsRepository
+    def test_facade_queries_match_over_a_migrated_directory(self, tmp_path, capsys):
+        # The query front end, pointed at the migrated directory, keeps
+        # answering: ``db --store <root>`` lists the imported runs and
+        # its leaderboard leads with the JSON backend's best platform.
+        from repro.cli import main
 
         root, _raw = _legacy_repo(tmp_path)
         import_json_repository(root)
-        repository = ResultsRepository(root)
-        assert repository.run_ids() == [
-            "run-2016-a", "run-2016-b", "run-2016-c",
+        assert main(["db", "--store", str(root), "stats"]) == 0
+        listed = [
+            line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("run-")
         ]
-        assert repository.best_platform("bfs", "D300") == _json_best_platform(
-            root, "bfs", "D300"
-        )
+        assert listed == ["run-2016-a", "run-2016-b", "run-2016-c"]
+        best = _json_best_platform(root, "bfs", "D300")
+        assert main(["db", "--store", str(root), "top", "bfs", "D300"]) == 0
+        leader = capsys.readouterr().out.splitlines()[0]
+        assert leader.startswith(f" 1. {best['platform']}")
+        assert f"(run {best['run_id']})" in leader

@@ -9,13 +9,16 @@ state.
 
 from __future__ import annotations
 
-import json
-
 from repro.resultsdb.store import STORE_NAME, ResultsStore
-from repro.service.runs import OUTCOME_NAME, QUARANTINED
+from repro.service.runs import QUARANTINED
 
 from tests.service.test_chaos import wait_state
-from tests.service.test_server import TINY_MATRIX, running_service, wait_terminal
+from tests.service.test_server import (
+    TINY_MATRIX,
+    running_service,
+    service_rows,
+    wait_terminal,
+)
 
 ENOSPC_PLAN = {
     "seed": 7,
@@ -29,8 +32,7 @@ KILL_AT_COMMIT_PLAN = {
 
 
 def _outcome(service, run_id):
-    path = service.registry.run_dir(run_id) / OUTCOME_NAME
-    return json.loads(path.read_text(encoding="utf-8"))
+    return service_rows(service.config.spool)[run_id]["outcome"]
 
 
 class TestTerminalCommit:
@@ -139,10 +141,16 @@ class TestCommitCrash:
             assert payload["state"] == QUARANTINED
 
             # WAL discarded the open transaction both times: old state
-            # byte-identical, doomed run absent whole, store healthy.
+            # byte-identical, doomed run absent whole, store healthy —
+            # and the server's own lifecycle rows committed around the
+            # dead children's transactions.
             with ResultsStore(store_path) as store:
                 assert store.canonical_bytes(clean) == before
                 assert not store.has_run(doomed)
                 assert store.query("PRAGMA integrity_check") == [("ok",)]
+            rows = service_rows(store_path.parent)
+            assert rows[clean]["state"] == "done"
+            assert rows[doomed]["state"] == QUARANTINED
+            assert rows[doomed]["attempts"] == 2
             health = client.healthz()
             assert health["results_store"]["runs"] == 1

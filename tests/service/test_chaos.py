@@ -12,8 +12,8 @@ and asserts the robustness contract end to end, in process:
   outcome, its status payload, and ``/v1/healthz``;
 * consecutive child deaths open the tenant's circuit breaker (503 +
   Retry-After) without shedding other tenants;
-* a corrupted ``request.json`` is skipped (with a warning) by the boot
-  scan instead of taking the service down.
+* damaged or foreign run directories in the spool (no lifecycle row)
+  are invisible to the boot scan and never collide with new run ids.
 """
 
 from __future__ import annotations
@@ -24,18 +24,9 @@ import time
 import pytest
 
 from repro.service import ServiceError
-from repro.service.runs import (
-    QUARANTINED,
-    REQUEST_NAME,
-    RunRegistry,
-)
-from repro.service.supervise import (
-    QUARANTINE_NAME,
-    SUPERVISE_NAME,
-    load_supervision,
-)
+from repro.service.runs import QUARANTINED, RunRegistry
 
-from tests.service.test_server import TINY_MATRIX, running_service
+from tests.service.test_server import TINY_MATRIX, running_service, service_rows
 
 _DEADLINE = 60.0
 
@@ -96,12 +87,9 @@ class TestChaosSubmission:
     def test_chaos_plan_is_spooled_with_the_request(self, tmp_path):
         with running_service(tmp_path) as (service, client):
             accepted = client.submit("acme", TINY_MATRIX, chaos=FSYNC_PLAN)
-            request = json.loads(
-                (service.registry.run_dir(accepted["run_id"]) / REQUEST_NAME)
-                .read_text(encoding="utf-8")
-            )
-            assert request["chaos"]["seed"] == 7
-            assert request["chaos"]["faults"][0]["kind"] == "fsync-fail"
+            row = service_rows(service.config.spool)[accepted["run_id"]]
+            assert row["chaos"]["seed"] == 7
+            assert row["chaos"]["faults"][0]["kind"] == "fsync-fail"
 
 
 class TestPoisonRunQuarantine:
@@ -123,12 +111,14 @@ class TestPoisonRunQuarantine:
             assert quarantine["budget"] == 2
             assert "no outcome" in quarantine["reason"]
 
-            run_dir = service.registry.run_dir(run_id)
             # Durable markers: the ledger counted both launches, the
             # quarantine record survives restarts.
-            assert load_supervision(run_dir)["attempts"] == 2
-            assert (run_dir / QUARANTINE_NAME).exists()
-            assert not (run_dir / "outcome.json").exists()
+            row = service_rows(service.config.spool)[run_id]
+            assert row["attempts"] == 2
+            assert [h["attempt"] for h in row["history"]] == [1, 2]
+            assert row["state"] == QUARANTINED
+            assert row["quarantine"] == quarantine
+            assert row["outcome"] is None
 
             # The quarantine artifact is fetchable for post-mortem.
             fetched = json.loads(client.fetch(run_id, "quarantine"))
@@ -149,15 +139,17 @@ class TestPoisonRunQuarantine:
             "acme", TINY_MATRIX, workers=1, job_timeout=None,
             submitted_at=0.0,
         )
-        run_dir = registry.run_dir(record.run_id)
-        (run_dir / SUPERVISE_NAME).write_text(
-            json.dumps({"attempts": 3, "history": []}), encoding="utf-8"
-        )
+        record.state = "running"
+        record.attempts = 3
+        registry.save(record)
+        registry.close()
         with running_service(tmp_path, run_attempts=3) as (service, client):
             payload = client.run(record.run_id)
             assert payload["state"] == QUARANTINED
             assert "quarantined at boot" in payload["quarantine"]["reason"]
-            assert (run_dir / QUARANTINE_NAME).exists()
+            row = service_rows(spool)[record.run_id]
+            assert row["state"] == QUARANTINED
+            assert row["quarantine"] == payload["quarantine"]
             assert len(service._children) == 0
 
     def test_quarantined_run_stays_terminal_across_restarts(self, tmp_path):
@@ -167,20 +159,19 @@ class TestPoisonRunQuarantine:
             "acme", TINY_MATRIX, workers=1, job_timeout=None,
             submitted_at=0.0,
         )
-        run_dir = registry.run_dir(record.run_id)
-        (run_dir / SUPERVISE_NAME).write_text(
-            json.dumps({"attempts": 5, "history": []}), encoding="utf-8"
-        )
-        (run_dir / QUARANTINE_NAME).write_text(
-            json.dumps({"run_id": record.run_id, "reason": "poison"}),
-            encoding="utf-8",
-        )
+        record.state = QUARANTINED
+        record.attempts = 5
+        record.quarantine = {"run_id": record.run_id, "reason": "poison"}
+        registry.save(record)
+        registry.close()
         with running_service(tmp_path) as (_service, client):
             payload = client.run(record.run_id)
             assert payload["state"] == QUARANTINED
             assert payload["quarantine"]["reason"] == "poison"
         # The ledger did not grow: the run was never relaunched.
-        assert load_supervision(run_dir)["attempts"] == 5
+        row = service_rows(spool)[record.run_id]
+        assert row["attempts"] == 5
+        assert row["state"] == QUARANTINED
 
 
 class TestGracefulDegradation:
@@ -264,37 +255,20 @@ class TestTenantBreaker:
 
 
 class TestBootScanCorruption:
-    def test_corrupt_request_is_skipped_with_a_warning(self, tmp_path):
-        spool = tmp_path / "spool"
-        good = RunRegistry(spool).create(
-            "acme", TINY_MATRIX, workers=1, job_timeout=None,
-            submitted_at=0.0,
-        )
-        torn = spool / "run-torn"
-        torn.mkdir()
-        (torn / REQUEST_NAME).write_bytes(b'{"tenant": "acme", "ru')
-        wrong_shape = spool / "run-list"
-        wrong_shape.mkdir()
-        (wrong_shape / REQUEST_NAME).write_text("[1, 2, 3]", encoding="utf-8")
-
-        registry = RunRegistry(spool)
-        with pytest.warns(RuntimeWarning) as caught:
-            resumable = registry.scan()
-        messages = [str(w.message) for w in caught]
-        assert any("run-torn" in m for m in messages)
-        assert any("run-list" in m for m in messages)
-        assert [r.run_id for r in resumable] == [good.run_id]
-        assert set(registry.records) == {good.run_id}
-
     def test_service_boots_over_a_corrupt_spool(self, tmp_path):
+        # Run state lives in the store's rows; a damaged directory with
+        # no row — even one holding a run id the registry would assign
+        # next — is neither scanned nor reused.
         spool = tmp_path / "spool"
         spool.mkdir()
-        broken = spool / "run-broken"
+        broken = spool / "r000001-acme"
         broken.mkdir()
-        (broken / REQUEST_NAME).write_bytes(b"\x00\x01 not json")
-        with pytest.warns(RuntimeWarning):
-            with running_service(tmp_path) as (_service, client):
-                # The damaged directory is invisible; service works.
-                accepted = client.submit("acme", TINY_MATRIX)
-                payload = wait_state(client, accepted["run_id"], ("done",))
-                assert payload["state"] == "done"
+        (broken / "journal.jsonl").write_bytes(b"\x00\x01 not json")
+        with running_service(tmp_path) as (service, client):
+            assert service.registry.records == {}
+            accepted = client.submit("acme", TINY_MATRIX)
+            assert accepted["run_id"] == "r000002-acme"
+            payload = wait_state(client, accepted["run_id"], ("done",))
+            assert payload["state"] == "done"
+            assert set(service_rows(spool)) == {"r000002-acme"}
+        assert (broken / "journal.jsonl").read_bytes() == b"\x00\x01 not json"

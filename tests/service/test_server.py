@@ -13,11 +13,13 @@ import json
 import threading
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+from repro.resultsdb.store import STORE_NAME, ResultsStore
 from repro.service import BenchmarkService, ServiceClient, ServiceConfig, ServiceError
-from repro.service.runs import OUTCOME_NAME, RunRegistry
+from repro.service.runs import RunRegistry
 
 #: One platform x one dataset x one algorithm: the fastest real run.
 TINY_MATRIX = {
@@ -51,6 +53,12 @@ def running_service(tmp_path, **overrides):
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=_DEADLINE)
         loop.close()
+
+
+def service_rows(spool):
+    """The spool's lifecycle rows by run id, read on our own connection."""
+    with ResultsStore(Path(spool) / STORE_NAME) as store:
+        return {row["run_id"]: row for row in store.service_runs()}
 
 
 def wait_terminal(client, run_id, deadline=_DEADLINE):
@@ -125,10 +133,19 @@ class TestRunLifecycle:
             assert archive["phases"]
             trace = client.fetch(run_id, "trace")
             assert trace  # span export happened
-            # The spool holds the durable request + outcome pair.
+            # The lifecycle row holds the durable request + outcome; the
+            # run directory holds run artifacts only.
+            row = service_rows(service.config.spool)[run_id]
+            assert row["tenant"] == "alice"
+            assert row["config"]["algorithms"] == ["bfs"]
+            assert row["state"] == "done"
+            assert row["attempts"] == 1
+            assert row["outcome"]["ok"] is True
             run_dir = service.registry.run_dir(run_id)
-            assert (run_dir / "request.json").exists()
-            assert (run_dir / OUTCOME_NAME).exists()
+            assert sorted(p.name for p in run_dir.iterdir()) == [
+                "archive.json", "cache", "journal.jsonl", "results.json",
+                "trace.jsonl",
+            ]
 
     def test_artifact_for_queued_run_is_404(self, tmp_path):
         # max_running slots are busy forever (no dispatch without scan),
@@ -193,18 +210,19 @@ class TestQuotaAndFairness:
             assert rejected.retry_after == pytest.approx(
                 service.config.retry_after
             )
-            # The rejected run is terminal on disk: a restart must not
-            # resurrect work the client was told to retry.
+            # The rejected run is terminal in the store: a restart must
+            # not resurrect work the client was told to retry.
             rejected_dirs = [
                 record for record in service.registry.records.values()
                 if record.state == "failed" and "quota" in record.error
             ]
             assert rejected_dirs
+            rows = service_rows(service.config.spool)
             for record in rejected_dirs:
-                outcome_path = (
-                    service.registry.run_dir(record.run_id) / OUTCOME_NAME
-                )
-                assert outcome_path.exists()
+                assert rows[record.run_id]["state"] == "failed"
+                assert rows[record.run_id]["outcome"] == {
+                    "ok": False, "error": record.error,
+                }
             for run_id in accepted:
                 wait_terminal(client, run_id)
 
@@ -231,9 +249,10 @@ class TestRestartRecovery:
     def test_boot_scan_reenqueues_and_completes_spooled_run(self, tmp_path):
         spool = tmp_path / "spool"
         # A submission that was spooled but never executed — the shape a
-        # SIGKILLed server leaves behind (request.json, no outcome).
+        # SIGKILLed server leaves behind (a queued row, no outcome).
         registry = RunRegistry(spool)
         record = registry.create("alice", TINY_MATRIX, submitted_at=1.0)
+        registry.close()
         with running_service(tmp_path, spool=spool) as (_service, client):
             final = wait_terminal(client, record.run_id)
             assert final["state"] == "done"
@@ -243,13 +262,66 @@ class TestRestartRecovery:
         spool = tmp_path / "spool"
         registry = RunRegistry(spool)
         record = registry.create("alice", TINY_MATRIX)
-        (registry.run_dir(record.run_id) / OUTCOME_NAME).write_text(
-            json.dumps({"ok": True, "jobs": 1, "failures": 0})
-        )
+        record.state = "done"
+        record.outcome = {"ok": True, "jobs": 1, "failures": 0}
+        registry.save(record)
+        registry.close()
         with running_service(tmp_path, spool=spool) as (service, client):
             payload = client.run(record.run_id)
             assert payload["state"] == "done"
             assert service.queue.pending() == 0
+
+
+class TestSingleWriter:
+    def test_unrecorded_finished_run_resumes_and_replaces_rows(self, tmp_path):
+        """A run child that finished after its server died is not done.
+
+        The server is the only writer of lifecycle rows, so a child
+        whose outcome was never recorded leaves a launched, non-terminal
+        row — whatever its journal says. The restarted server relaunches
+        it; the journal restores every job and the terminal re-commit
+        replaces the run's store rows instead of adding to them.
+        """
+        from repro.runtime.journal import RunJournal
+        from repro.service.worker import execute_service_run
+
+        spool = tmp_path / "spool"
+        registry = RunRegistry(spool)
+        record = registry.create("alice", TINY_MATRIX, submitted_at=1.0)
+        record.state = "running"
+        record.attempts = 1
+        record.history = [{"attempt": 1, "at": 1.0}]
+        registry.save(record)
+        registry.close()
+        run_dir = registry.run_dir(record.run_id)
+        first = execute_service_run(
+            run_dir, record.request(), workers=1, watchdog=False
+        )
+        assert first["ok"] and first["restored_jobs"] == 0
+        done_keys = {
+            r["key"] for r in RunJournal.load(run_dir).records
+            if r["type"] == "job-done"
+        }
+        assert service_rows(spool)[record.run_id]["outcome"] is None
+
+        with running_service(tmp_path, spool=spool) as (_service, client):
+            final = wait_terminal(client, record.run_id)
+        assert final["state"] == "done"
+        assert final["attempts"] == 2
+        # Every DAG job (materialize, reference, execute) came back
+        # from the journal; nothing re-executed.
+        assert final["restored_jobs"] == len(done_keys) == 3
+        assert final["jobs"] == first["jobs"] == 1
+        replay = RunJournal.load(run_dir)
+        assert sum(r["type"] == "job-done" for r in replay.records) == 3
+        row = service_rows(spool)[record.run_id]
+        assert row["state"] == "done"
+        assert row["outcome"]["restored_jobs"] == 3
+        with ResultsStore(spool / STORE_NAME) as store:
+            stats = store.stats()
+            assert store.run_ids() == [record.run_id]
+            assert (stats["runs"], stats["jobs"]) == (1, 1)
+            assert len(store.run_records(record.run_id)) == 1
 
 
 class TestExampleMatrixSubmission:

@@ -6,6 +6,8 @@ The full acceptance scenario from the service design:
 * the server process is SIGKILLed mid-run (children die via the
   parent-death watchdog, tearing the journals wherever they happened
   to be);
+* only the server records outcomes, so neither run is terminal after
+  the kill, however far its child got;
 * a restarted server on the same spool resumes both runs from their
   journals and completes them;
 * no journal carries a duplicate ``job-done`` per job key, and the two
@@ -27,6 +29,9 @@ import pytest
 from repro.harness.results import ResultsDatabase
 from repro.runtime.journal import RunJournal
 from repro.service import ServiceClient
+from repro.service.runs import TERMINAL_STATES
+
+from tests.service.test_server import service_rows
 
 #: Large enough that a kill lands mid-run, small enough to stay fast.
 MATRIX = {
@@ -126,17 +131,14 @@ def test_two_tenants_sigkill_resume_bit_identical(tmp_path):
         os.kill(server.pid, signal.SIGKILL)
         server.wait(timeout=30)
 
-        # The parent-death watchdog reaps the orphaned run children.
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            held = [
-                run_id for run_id in (run_a, run_b)
-                if not (spool / run_id / "outcome.json").exists()
-            ]
-            if held:
-                break  # at least one run is genuinely unfinished
-            time.sleep(0.1)
+        # The server is the only writer of run state: with it dead, no
+        # child can mark its run terminal, even one that finishes
+        # before its parent-death watchdog fires.
         time.sleep(1.0)  # let watchdogs fire and journals settle
+        rows = service_rows(spool)
+        for run_id in (run_a, run_b):
+            assert rows[run_id]["state"] not in TERMINAL_STATES, rows[run_id]
+            assert rows[run_id]["outcome"] is None
     finally:
         _terminate(server)
 
@@ -269,19 +271,14 @@ _SUPERVISION_FLAGS = (
 )
 
 
-def _wait_ledger_attempts(run_dir: Path, minimum: int) -> None:
-    """Block until the durable attempt ledger has counted ``minimum``."""
-    path = run_dir / "supervise.json"
+def _wait_ledger_attempts(spool: Path, run_id: str, minimum: int) -> None:
+    """Block until the run's durable attempt ledger has counted ``minimum``."""
     limit = time.monotonic() + _DEADLINE
     while time.monotonic() < limit:
-        try:
-            ledger = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            ledger = {}
-        if isinstance(ledger, dict) and ledger.get("attempts", 0) >= minimum:
+        if service_rows(spool)[run_id]["attempts"] >= minimum:
             return
         time.sleep(0.05)
-    raise AssertionError(f"ledger at {path} never reached {minimum} attempts")
+    raise AssertionError(f"ledger of {run_id} never reached {minimum} attempts")
 
 
 def _wait_quarantined(client: ServiceClient, run_id: str) -> dict:
@@ -325,7 +322,7 @@ def test_chaos_quarantine_and_degradation_survive_restart(tmp_path):
 
         # The poison child killed itself at least twice (pre-launch
         # ledger writes make the count durable), then the server dies.
-        _wait_ledger_attempts(spool / poison_id, 2)
+        _wait_ledger_attempts(spool, poison_id, 2)
         os.kill(server.pid, signal.SIGKILL)
         server.wait(timeout=30)
         time.sleep(1.0)  # parent-death watchdog reaps the orphan child
@@ -342,10 +339,7 @@ def test_chaos_quarantine_and_degradation_survive_restart(tmp_path):
         assert payload["state"] == "quarantined", payload
         assert payload["attempts"] == 3  # exactly the budget, not 2x it
         assert payload["quarantine"]["budget"] == 3
-        ledger = json.loads(
-            (spool / poison_id / "supervise.json").read_text(encoding="utf-8")
-        )
-        assert ledger["attempts"] == 3
+        assert service_rows(spool)[poison_id]["attempts"] == 3
 
         # Completed runs stayed terminal across the restart, and no
         # journal re-recorded finished work.

@@ -2,68 +2,70 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.service.supervise import (
-    QUARANTINE_NAME,
-    SUPERVISE_NAME,
-    BreakerOpen,
-    RetryPolicy,
-    TenantBreaker,
-    load_quarantine,
-    load_supervision,
-    record_attempt,
-    write_quarantine,
-)
+from repro.service.runs import QUARANTINED, RunRegistry
+from repro.service.supervise import BreakerOpen, RetryPolicy, TenantBreaker
+
+from tests.service.test_server import TINY_MATRIX, service_rows
+
+
+@pytest.fixture
+def registry(tmp_path):
+    handle = RunRegistry(tmp_path / "spool")
+    yield handle
+    handle.close()
+
+
+def _reloaded(registry, run_id):
+    """The record as a fresh registry reads it back from the store."""
+    fresh = RunRegistry(registry.spool)
+    try:
+        fresh.scan()
+        return fresh.records[run_id]
+    finally:
+        fresh.close()
 
 
 class TestAttemptLedger:
-    def test_round_trip_accumulates_history(self, tmp_path):
-        record_attempt(tmp_path, 1, at=10.0)
-        ledger = record_attempt(tmp_path, 2, at=20.0)
-        assert ledger["attempts"] == 2
-        assert [h["attempt"] for h in ledger["history"]] == [1, 2]
-        assert load_supervision(tmp_path) == ledger
+    def test_round_trip_accumulates_history(self, registry):
+        record = registry.create("acme", TINY_MATRIX)
+        for attempt, at in ((1, 10.0), (2, 20.0)):
+            record.attempts = attempt
+            record.history = [*record.history, {"attempt": attempt, "at": at}]
+            registry.save(record)
+        row = service_rows(registry.spool)[record.run_id]
+        assert row["attempts"] == 2
+        assert [h["attempt"] for h in row["history"]] == [1, 2]
+        loaded = _reloaded(registry, record.run_id)
+        assert loaded.attempts == 2
+        assert loaded.history == record.history
 
-    def test_absent_ledger_is_zero_attempts(self, tmp_path):
-        assert load_supervision(tmp_path) == {"attempts": 0, "history": []}
-
-    @pytest.mark.parametrize(
-        "payload",
-        [b"{torn", b"[1, 2]", b'{"attempts": "many"}'],
-        ids=["torn-json", "non-dict", "non-int-attempts"],
-    )
-    def test_corrupt_ledger_tolerated(self, tmp_path, payload):
-        (tmp_path / SUPERVISE_NAME).write_bytes(payload)
-        assert load_supervision(tmp_path)["attempts"] == 0
-
-    def test_corrupt_ledger_restarts_counting(self, tmp_path):
-        (tmp_path / SUPERVISE_NAME).write_bytes(b"{torn")
-        ledger = record_attempt(tmp_path, 1, at=1.0)
-        assert ledger == {
-            "attempts": 1,
-            "history": [{"attempt": 1, "at": 1.0}],
-        }
+    def test_absent_ledger_is_zero_attempts(self, registry):
+        record = registry.create("acme", TINY_MATRIX)
+        row = service_rows(registry.spool)[record.run_id]
+        assert (row["attempts"], row["history"]) == (0, [])
+        assert _reloaded(registry, record.run_id).attempts == 0
 
 
 class TestQuarantineRecord:
-    def test_round_trip(self, tmp_path):
-        payload = {"run_id": "r1", "reason": "budget exhausted"}
-        write_quarantine(tmp_path, payload)
-        assert load_quarantine(tmp_path) == payload
-        on_disk = json.loads(
-            (tmp_path / QUARANTINE_NAME).read_text(encoding="utf-8")
+    def test_round_trip(self, registry):
+        record = registry.create("acme", TINY_MATRIX)
+        payload = {"run_id": record.run_id, "reason": "budget exhausted"}
+        record.state = QUARANTINED
+        record.quarantine = payload
+        registry.save(record)
+        assert service_rows(registry.spool)[record.run_id]["quarantine"] == (
+            payload
         )
-        assert on_disk == payload
+        loaded = _reloaded(registry, record.run_id)
+        assert loaded.quarantine == payload
+        assert loaded.state == QUARANTINED
 
-    def test_absent_and_corrupt_are_none(self, tmp_path):
-        assert load_quarantine(tmp_path) is None
-        (tmp_path / QUARANTINE_NAME).write_bytes(b"{torn")
-        assert load_quarantine(tmp_path) is None
-        (tmp_path / QUARANTINE_NAME).write_bytes(b"[]")
-        assert load_quarantine(tmp_path) is None
+    def test_absent_is_none(self, registry):
+        record = registry.create("acme", TINY_MATRIX)
+        assert service_rows(registry.spool)[record.run_id]["quarantine"] is None
+        assert _reloaded(registry, record.run_id).quarantine is None
 
 
 class TestRetryPolicy:

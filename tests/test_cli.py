@@ -186,9 +186,11 @@ class TestFullRunCommand:
         assert "ran 1 experiments" in out
         assert (tmp_path / "report.md").exists()
         assert (tmp_path / "repo" / "results.db").exists()
-        from repro.harness.repository import ResultsRepository
+        assert "run stored in" in out
+        from repro.resultsdb.store import ResultsStore
 
-        assert ResultsRepository(tmp_path / "repo").run_ids()
+        with ResultsStore(tmp_path / "repo" / "results.db") as store:
+            assert store.run_ids() == ["full-run-seed0"]
 
 
 class TestGenerateGraph500:
@@ -243,10 +245,13 @@ class TestEstimateCommand:
 
 
 class TestRepositoryCommand:
+    """A results-repository directory queried through ``db --store DIR``."""
+
     @pytest.fixture
     def stocked_repo(self, tmp_path):
-        from repro.harness.repository import ResultsRepository, RunMetadata
+        from repro.harness.full_run import submit_run
         from repro.harness.results import BenchmarkResult, ResultsDatabase
+        from repro.resultsdb.store import ResultsStore
 
         def result(tproc):
             return BenchmarkResult(
@@ -256,37 +261,58 @@ class TestRepositoryCommand:
                 validated=True,
             )
 
-        repo = ResultsRepository(tmp_path / "repo")
-        repo.submit(RunMetadata("v1", "GraphMat"), ResultsDatabase([result(1.0)]))
-        repo.submit(RunMetadata("v2", "GraphMat"), ResultsDatabase([result(2.0)]))
+        with ResultsStore(tmp_path / "repo" / "results.db") as repo:
+            for run_id, tproc in (("v1", 1.0), ("v2", 2.0)):
+                submit_run(
+                    repo,
+                    {"run_id": run_id, "system_under_test": "GraphMat"},
+                    ResultsDatabase([result(tproc)]),
+                )
         return tmp_path / "repo"
 
     def test_list(self, stocked_repo, capsys):
-        assert main(["repository", str(stocked_repo), "list"]) == 0
-        out = capsys.readouterr().out
-        assert "v1" in out and "v2" in out
+        assert main(["db", "--store", str(stocked_repo), "stats"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].split() == ["v1", "GraphMat", "1", "jobs"]
+        assert lines[-1].split() == ["v2", "GraphMat", "1", "jobs"]
 
     def test_best(self, stocked_repo, capsys):
-        assert main(["repository", str(stocked_repo), "best", "bfs", "D300"]) == 0
+        assert main(
+            ["db", "--store", str(stocked_repo), "top", "bfs", "D300"]
+        ) == 0
         out = capsys.readouterr().out
-        assert "GraphMat" in out and "run v1" in out
+        assert out.splitlines()[0].startswith(" 1. GraphMat")
+        assert "run v1" in out.splitlines()[0]
 
     def test_best_missing(self, stocked_repo, capsys):
-        assert main(["repository", str(stocked_repo), "best", "pr", "R1"]) == 1
+        assert main(
+            ["db", "--store", str(stocked_repo), "top", "pr", "R1"]
+        ) == 1
 
     def test_regressions_found(self, stocked_repo, capsys):
-        code = main(["repository", str(stocked_repo), "regressions", "v1", "v2"])
+        code = main(
+            ["db", "--store", str(stocked_repo), "regressions", "v1", "v2"]
+        )
         assert code == 1
         assert "2.00x" in capsys.readouterr().out
 
     def test_no_regressions(self, stocked_repo, capsys):
-        code = main(["repository", str(stocked_repo), "regressions", "v2", "v1"])
+        code = main(
+            ["db", "--store", str(stocked_repo), "regressions", "v2", "v1"]
+        )
         assert code == 0
         assert "no regressions" in capsys.readouterr().out
 
     def test_empty_repository_list(self, tmp_path, capsys):
-        assert main(["repository", str(tmp_path / "new"), "list"]) == 0
-        assert "no runs" in capsys.readouterr().out
+        from repro.resultsdb.store import ResultsStore
+
+        ResultsStore(tmp_path / "new" / "results.db").close()
+        assert main(["db", "--store", str(tmp_path / "new"), "stats"]) == 0
+        assert "(no runs stored)" in capsys.readouterr().out
+
+    def test_repository_group_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["repository", "somewhere", "list"])
 
 
 class TestAnalyzeCommand:

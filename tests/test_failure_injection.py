@@ -124,7 +124,8 @@ class TestRuntimeFaultInjection:
         )
 
     def test_timing_out_worker_is_killed_retried_and_recorded(self):
-        from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, execute_matrix
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.runtime import RuntimeConfig, execute_matrix
 
         plan = FaultPlan(
             (FaultSpec(kind="hang", algorithm="bfs", run_index=0, times=2),)
@@ -156,7 +157,8 @@ class TestRuntimeFaultInjection:
         assert len(result.database.query(status="succeeded")) == 3
 
     def test_transient_hang_recovers_on_retry(self):
-        from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, execute_matrix
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.runtime import RuntimeConfig, execute_matrix
 
         plan = FaultPlan(
             (FaultSpec(kind="hang", algorithm="pr", run_index=1, times=1),)
@@ -175,7 +177,8 @@ class TestRuntimeFaultInjection:
         assert result.events.count("retry") == 1
 
     def test_crashing_worker_is_respawned_and_job_retried(self):
-        from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, execute_matrix
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.runtime import RuntimeConfig, execute_matrix
 
         plan = FaultPlan(
             (FaultSpec(kind="crash", algorithm="bfs", run_index=1, times=1),)
@@ -194,7 +197,8 @@ class TestRuntimeFaultInjection:
         assert result.events.count("retry") == 1
 
     def test_persistently_crashing_job_becomes_structured_failure(self):
-        from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, execute_matrix
+        from repro.faults import FaultPlan, FaultSpec
+        from repro.runtime import RuntimeConfig, execute_matrix
 
         plan = FaultPlan(
             (FaultSpec(kind="crash", algorithm="pr", run_index=0, times=5),)
@@ -226,21 +230,32 @@ class TestCrashPath:
         assert result.modeled_processing_time is None
 
     def test_repository_accepts_runs_with_failures(self, tmp_path):
-        from repro.harness.repository import ResultsRepository, RunMetadata
+        from repro.harness.full_run import submit_run
+        from repro.resultsdb.store import ResultsStore
 
         runner = BenchmarkRunner(BenchmarkConfig(seed=0))
         runner.run_job("graphx", "R1", "cdlp")   # crash
         runner.run_job("graphx", "R1", "bfs")    # validated success
-        repo = ResultsRepository(tmp_path)
-        repo.submit(RunMetadata("mixed", "GraphX"), runner.database)
-        assert repo.run_ids() == ["mixed"]
+        with ResultsStore(tmp_path / "results.db") as repo:
+            submit_run(
+                repo,
+                {"run_id": "mixed", "system_under_test": "GraphX"},
+                runner.database,
+            )
+            assert repo.run_ids() == ["mixed"]
 
     def test_repository_rejects_tampered_run(self, tmp_path):
         from repro.exceptions import ValidationError
-        from repro.harness.repository import ResultsRepository, RunMetadata
+        from repro.harness.full_run import submit_run
+        from repro.resultsdb.store import ResultsStore
 
         runner = _patched_runner(WrongOutputDriver())
         runner.run_job("faulty", "R1", "bfs")
-        repo = ResultsRepository(tmp_path)
-        with pytest.raises(ValidationError):
-            repo.submit(RunMetadata("bad", "Faulty"), runner.database)
+        with ResultsStore(tmp_path / "results.db") as repo:
+            with pytest.raises(ValidationError):
+                submit_run(
+                    repo,
+                    {"run_id": "bad", "system_under_test": "Faulty"},
+                    runner.database,
+                )
+            assert repo.run_ids() == []
