@@ -8,8 +8,13 @@ Next to it, the calibrated platform models' ``machine_scaling_factor``
 for the same machine counts, and the measured-vs-modeled delta — the
 number the paper's §6 experiments could only simulate before.
 
-Gated everywhere: every shard count's output is bit-identical (through
-the canonical codec) to the single-process engine, and the traced run's
+Each shard count's wall clock is also recorded over the reference
+kernel's (``vs_reference_x``): the layer the sharded engine claims
+parity with. The host's CPU count and Python and numpy versions are
+recorded next to the curve.
+
+Gated everywhere: every shard count's output is bit-identical to
+:func:`repro.algorithms.run_reference`, and the traced run's
 ``trace.jsonl`` carries the per-superstep ``shard-compute`` /
 ``exchange`` / ``barrier-wait`` spans. Gated only on multi-CPU hardware
 (this is a real fork-and-pipe system — on one core more shards just add
@@ -19,9 +24,12 @@ exchange overhead): 2-shard speedup > 1.
 import json
 import multiprocessing
 import os
+import platform
 from pathlib import Path
 
-from repro.engines import gas, pregel
+import numpy as np
+
+from repro.algorithms import run_reference
 from repro.engines.partitioned import run_algorithm
 from repro.graph.generators import erdos_renyi
 from repro.trace import MonotonicClock, Tracer, read_trace, use_tracer, write_trace
@@ -60,31 +68,32 @@ def _bench_graph():
 
 def _arms(graph):
     return {
-        "pr": {
-            "model": "gas",
-            "params": {"iterations": PR_ITERATIONS},
-            "baseline": lambda: gas.run_pagerank(graph, PR_ITERATIONS),
-        },
-        "bfs": {
-            "model": "pregel",
-            "params": {"source_vertex": int(graph.vertex_ids[0])},
-            "baseline": lambda: pregel.run_bfs(graph, int(graph.vertex_ids[0])),
-        },
+        "pr": {"iterations": PR_ITERATIONS},
+        "bfs": {"source_vertex": int(graph.vertex_ids[0])},
     }
 
 
-def _timed_partitioned(graph, algorithm, arm, shards):
+def _timed_partitioned(graph, algorithm, params, shards):
     started = _WALL.now()
     values = run_algorithm(
         graph,
         algorithm,
-        dict(arm["params"]),
+        dict(params),
         partitions=shards,
         strategy="hash",
-        model=arm["model"],
         transport="pipes",
     )
     return values, _WALL.now() - started
+
+
+def _timed_reference(graph, algorithm, params, repeats=5):
+    """Best of ``repeats`` calls: the first call in a process is cold."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = _WALL.now()
+        values = run_reference(algorithm, graph, dict(params))
+        best = min(best, _WALL.now() - started)
+    return values, best
 
 
 def test_partitioned_strong_scaling(benchmark, tmp_path):
@@ -94,11 +103,14 @@ def test_partitioned_strong_scaling(benchmark, tmp_path):
 
     def rounds():
         measured = {}
-        for algorithm, arm in arms.items():
+        for algorithm, params in arms.items():
             measured[algorithm] = {
-                shards: _timed_partitioned(graph, algorithm, arm, shards)
+                shards: _timed_partitioned(graph, algorithm, params, shards)
                 for shards in SHARD_COUNTS
             }
+            measured[algorithm]["reference"] = _timed_reference(
+                graph, algorithm, params
+            )
         return measured
 
     measured = benchmark.pedantic(rounds, rounds=1, iterations=1)
@@ -110,11 +122,13 @@ def test_partitioned_strong_scaling(benchmark, tmp_path):
         "transport": "pipes",
         "strategy": "hash",
         "cpu_count": multiprocessing.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "algorithms": {},
     }
 
-    for algorithm, arm in arms.items():
-        baseline = arm["baseline"]()
+    for algorithm in arms:
+        baseline, reference_elapsed = measured[algorithm]["reference"]
         serial_elapsed = measured[algorithm][1][1]
         curve = {}
         for shards in SHARD_COUNTS:
@@ -123,12 +137,16 @@ def test_partitioned_strong_scaling(benchmark, tmp_path):
             # changes a single bit of the output.
             assert values.tobytes() == baseline.tobytes(), (
                 f"{algorithm} at {shards} shards diverged from the "
-                f"single-process engine"
+                f"reference kernel"
             )
             curve[str(shards)] = {
                 "wall_clock_seconds": round(elapsed, 4),
                 "speedup_vs_1_shard": round(
                     serial_elapsed / elapsed if elapsed > 0 else 0.0, 3
+                ),
+                "vs_reference_x": round(
+                    elapsed / reference_elapsed if reference_elapsed > 0
+                    else 0.0, 1
                 ),
             }
         modeled = {
@@ -148,6 +166,7 @@ def test_partitioned_strong_scaling(benchmark, tmp_path):
             for name, series in modeled.items()
         }
         payload["algorithms"][algorithm] = {
+            "reference_seconds": round(reference_elapsed, 5),
             "measured": curve,
             "modeled_speedup": modeled,
             "measured_minus_modeled": delta,
@@ -172,14 +191,17 @@ def test_partitioned_strong_scaling(benchmark, tmp_path):
 
     print()
     print(f"Partitioned strong scaling — {payload['graph']}, "
-          f"{payload['cpu_count']} cores")
-    print(f"{'algorithm':>10s} {'shards':>7s} {'wall s':>9s} {'speedup':>8s}")
+          f"{payload['cpu_count']} cores, Python {payload['python']}, "
+          f"numpy {payload['numpy']}")
+    print(f"{'algorithm':>10s} {'shards':>7s} {'wall s':>9s} {'speedup':>8s} "
+          f"{'vs ref':>8s}")
     for algorithm in arms:
         for shards in SHARD_COUNTS:
             cell = payload["algorithms"][algorithm]["measured"][str(shards)]
             print(f"{algorithm:>10s} {shards:>7d} "
                   f"{cell['wall_clock_seconds']:>9.3f} "
-                  f"{cell['speedup_vs_1_shard']:>7.2f}x")
+                  f"{cell['speedup_vs_1_shard']:>7.2f}x "
+                  f"{cell['vs_reference_x']:>7.1f}x")
     print(f"written to {OUTPUT.name}")
 
     # The speedup gate is only meaningful with real parallel hardware.

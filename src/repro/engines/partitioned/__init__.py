@@ -1,17 +1,16 @@
 """``repro.engines.partitioned`` — sharded, measured graph execution.
 
-ROADMAP item 3: the paper's horizontal-scaling experiments (§6), as a
-*mechanistic* system instead of a calibrated formula. A graph is
-edge-cut partitioned across shard workers (hash or range strategy);
-Pregel supersteps and GAS rounds run bulk-synchronously with real
-message exchange over pipes, combiners that merge messages before the
-wire, and a deterministic merge of per-shard state — so any shard
+The paper's horizontal-scaling experiments (§6), as a *mechanistic*
+system instead of a calibrated formula. A graph is edge-cut partitioned
+across shard workers (hash or range strategy); each shard holds the CSR
+slice of its owned vertices and, at every bulk-synchronous barrier, runs
+the reference kernel's numpy sweep over that slice, while the
+coordinator repeats the kernel's global arithmetic — so any shard
 count, either strategy, and either transport produce **bit-identical**
-outputs to the single-process engines in :mod:`repro.engines.pregel`
-and :mod:`repro.engines.gas`.
+outputs to :func:`repro.algorithms.run_reference`.
 
-See docs/scaling.md for the partitioner, the exchange protocol, the
-barrier/span timeline, supervision, and the measured scaling curves
+See docs/scaling.md for the partitioner, the barrier protocol and span
+timeline, supervision, and the measured scaling curves
 (``benchmarks/bench_partitioned_scaling.py`` → ``BENCH_partitioned.json``).
 """
 
@@ -22,38 +21,25 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.engines.partitioned.coordinator import PartitionedEngine, ShardFailure
-from repro.engines.partitioned.exchange import MessageBatch, Outbox, deliver
 from repro.engines.partitioned.partition import (
     PARTITION_STRATEGIES,
     Partition,
     PartitionSet,
     partition_graph,
 )
-from repro.engines.partitioned.programs import ProgramSpec, spec_for
 from repro.engines.partitioned.shard import STEP_FAULT_POINT, ShardState
 from repro.graph.graph import Graph
 
 __all__ = [
     "PARTITION_STRATEGIES",
     "STEP_FAULT_POINT",
-    "MessageBatch",
-    "Outbox",
     "Partition",
     "PartitionSet",
     "PartitionedEngine",
-    "ProgramSpec",
     "ShardFailure",
     "ShardState",
-    "deliver",
     "partition_graph",
     "run_algorithm",
-    "run_bfs",
-    "run_sssp",
-    "run_wcc",
-    "run_cdlp",
-    "run_pagerank",
-    "run_lcc",
-    "spec_for",
 ]
 
 
@@ -64,12 +50,10 @@ def run_algorithm(
     *,
     partitions: int = 2,
     strategy: str = "hash",
-    model: str = "auto",
     transport: str = "pipes",
     chaos_plan: Optional[Dict[str, object]] = None,
 ) -> np.ndarray:
-    """Run one core algorithm partitioned; returns the finalized array."""
-    spec = spec_for(algorithm, params, model=model)
+    """Run one core algorithm partitioned; returns the output array."""
     engine = PartitionedEngine(
         graph,
         partitions=partitions,
@@ -77,32 +61,4 @@ def run_algorithm(
         transport=transport,
         chaos_plan=chaos_plan,
     )
-    return engine.run(spec)
-
-
-def run_bfs(graph: Graph, source: int, **options) -> np.ndarray:
-    return run_algorithm(graph, "bfs", {"source_vertex": source}, **options)
-
-
-def run_sssp(graph: Graph, source: int, **options) -> np.ndarray:
-    return run_algorithm(graph, "sssp", {"source_vertex": source}, **options)
-
-
-def run_wcc(graph: Graph, **options) -> np.ndarray:
-    return run_algorithm(graph, "wcc", **options)
-
-
-def run_cdlp(graph: Graph, iterations: int = 10, **options) -> np.ndarray:
-    return run_algorithm(graph, "cdlp", {"iterations": iterations}, **options)
-
-
-def run_pagerank(
-    graph: Graph, iterations: int = 30, damping: float = 0.85, **options
-) -> np.ndarray:
-    return run_algorithm(
-        graph, "pr", {"iterations": iterations, "damping": damping}, **options
-    )
-
-
-def run_lcc(graph: Graph, **options) -> np.ndarray:
-    return run_algorithm(graph, "lcc", model="lcc", **options)
+    return engine.run(algorithm, params)

@@ -1,55 +1,65 @@
-"""The partitioned coordinator: barriers, routing, merge, supervision.
+"""The partitioned coordinator: barriers, merge, supervision.
 
-:class:`PartitionedEngine` drives shards through superstep-synchronous
-barriers. Each barrier:
+:class:`PartitionedEngine` drives the reference kernels' iterations with
+the per-vertex sweep of each iteration split across shards. Each
+barrier:
 
-1. **compute** — every shard runs its slice (a ``shard-compute`` span,
-   rebased onto the coordinator's timeline via the clock-offset
-   handshake);
-2. **exchange** — the coordinator routes outbound message batches to
-   their destination shards and folds aggregator contributions in
-   global sorted order (an ``exchange`` span);
-3. **barrier-wait** — per shard, the gap between its reply and the
+1. **compute** — the coordinator broadcasts the previous global state
+   as one numpy array and every shard computes the next state of its
+   owned vertices (a ``shard-compute`` span, rebased onto the
+   coordinator's timeline via the clock-offset handshake);
+2. **barrier-wait** — per shard, the gap between its reply and the
    slowest shard's reply (one ``barrier-wait`` span per shard): the
-   straggler cost that strong-scaling curves are made of.
+   straggler cost that strong-scaling curves are made of;
+3. **exchange** — the coordinator scatters the owned slices into the
+   next global array (an ``exchange`` span) and then repeats the
+   reference kernel's global arithmetic on it (PageRank's dangling-mass
+   fold, WCC's pointer jumping, every convergence test).
 
 Two transports run the same :class:`~repro.engines.partitioned.shard.
 ShardState` logic: ``inline`` (in-process, for fast deterministic
 tests) and ``pipes`` (real fork-context worker processes with the
-runtime pool's private-pipe discipline). The pipes transport is
-supervised: every reply carries a barrier-time snapshot, so when a
-shard dies mid-superstep (crash, OOM kill, chaos plan) the coordinator
-respawns it, restores the last snapshot, re-sends the in-flight
-command — bounded by a :class:`~repro.service.supervise.RetryPolicy`
-budget — and the run completes bit-identically.
+runtime pool's private-pipe discipline). Shards hold no state between
+barriers, so pipes supervision is plain: when a shard dies
+mid-superstep (crash, OOM kill, chaos plan) the coordinator respawns it,
+re-inits it, and re-sends the in-flight command — bounded by a
+:class:`~repro.service.supervise.RetryPolicy` budget — and the run
+completes bit-identically.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import multiprocessing.connection
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.engines.partitioned.exchange import MessageBatch
+from repro.algorithms.bfs import BFS_UNREACHABLE
+from repro.algorithms.registry import get_algorithm
+from repro.algorithms.sssp import SSSP_UNREACHABLE
 from repro.engines.partitioned.partition import PartitionSet, partition_graph
-from repro.engines.partitioned.programs import (
-    ProgramSpec,
-    build_gas_plan,
-    build_pregel_program,
-)
 from repro.engines.partitioned.shard import (
     ShardState,
     graph_payload,
     shard_main,
 )
-from repro.exceptions import ConfigurationError, GraphalyticsError
+from repro.exceptions import (
+    ConfigurationError,
+    GenerationError,
+    GraphalyticsError,
+    GraphFormatError,
+)
 from repro.graph.graph import Graph
 from repro.runtime.pool import default_mp_context
 from repro.service.supervise import RetryPolicy
 from repro.trace import Span, current_tracer, rebase_spans
 
 __all__ = ["PartitionedEngine", "ShardFailure"]
+
+#: One barrier: ``sweep(superstep, state, dtype=None)`` -> next state.
+Sweep = Callable[..., np.ndarray]
 
 
 class ShardFailure(GraphalyticsError):
@@ -59,33 +69,28 @@ class ShardFailure(GraphalyticsError):
 class _InlineTransport:
     """Shards as in-process objects: same logic, no processes.
 
-    The parity matrix runs through this — partition, exchange, merge,
-    and termination behavior are identical to pipes; only the process
+    The parity matrix runs through this — partition, sweep, merge, and
+    termination behavior are identical to pipes; only the process
     boundary (and therefore supervision) is elided.
     """
 
-    def __init__(self, graph: Graph, partition_set: PartitionSet, spec: ProgramSpec):
+    def __init__(self, graph: Graph, partition_set: PartitionSet, algorithm: str):
         self.shards: Dict[int, ShardState] = {
-            p.shard_id: ShardState(
-                graph, p.shard_id, p.owned, partition_set.owner,
-                partition_set.num_shards, spec,
-            )
+            p.shard_id: ShardState(graph, p.owned, algorithm)
             for p in partition_set.shards
         }
 
-    def exchange(
-        self, commands: Dict[int, Dict[str, object]], parent_span=None
-    ) -> Dict[int, Dict[str, object]]:
+    def broadcast(
+        self, command: Dict[str, object], parent_span=None
+    ) -> Dict[int, np.ndarray]:
         tracer = current_tracer()
-        bodies: Dict[int, Dict[str, object]] = {}
-        for shard_id in sorted(commands):
+        bodies: Dict[int, np.ndarray] = {}
+        for shard_id in sorted(self.shards):
             with tracer.span(
-                "shard-compute", shard=shard_id,
-                cmd=commands[shard_id]["cmd"],
-                superstep=commands[shard_id].get("superstep"),
+                "shard-compute", shard=shard_id, superstep=command["superstep"],
             ):
-                bodies[shard_id] = self.shards[shard_id].apply_command(
-                    commands[shard_id]
+                bodies[shard_id] = self.shards[shard_id].step(
+                    command["superstep"], command["state"]
                 )
         return bodies
 
@@ -121,21 +126,19 @@ class _PipesTransport:
         self,
         graph: Graph,
         partition_set: PartitionSet,
-        spec: ProgramSpec,
+        algorithm: str,
         *,
         retry: RetryPolicy,
         chaos_plan: Optional[Dict[str, object]] = None,
         context=None,
     ):
         self.partition_set = partition_set
-        self.spec = spec
+        self.algorithm = algorithm
         self.retry = retry
-        self.chaos_plan = chaos_plan
         self.clock = current_tracer().clock
         self._ctx = context or default_mp_context()
         self._graph_payload = graph_payload(graph)
         self._handles: Dict[int, _ShardHandle] = {}
-        self._snapshots: Dict[int, Dict[str, object]] = {}
         self.respawns = 0
         for p in partition_set.shards:
             handle = _ShardHandle(p.shard_id)
@@ -167,19 +170,13 @@ class _PipesTransport:
         result_send.close()
         task_recv.close()
 
-    def _init_payload(
-        self, shard_id: int, *, chaos=None, restore=None
-    ) -> Dict[str, object]:
-        partition = self.partition_set.shards[shard_id]
+    def _init_payload(self, shard_id: int, *, chaos=None) -> Dict[str, object]:
         return {
             "cmd": "init",
             "graph": self._graph_payload,
-            "owned": partition.owned,
-            "owner": self.partition_set.owner,
-            "num_shards": self.partition_set.num_shards,
-            "spec": self.spec,
+            "owned": self.partition_set.shards[shard_id].owned,
+            "algorithm": self.algorithm,
             "chaos": chaos,
-            "restore": restore,
         }
 
     def _send(self, shard_id: int, payload: Dict[str, object]) -> None:
@@ -189,19 +186,21 @@ class _PipesTransport:
 
     # -- supervised exchange ----------------------------------------------
 
-    def exchange(
-        self, commands: Dict[int, Dict[str, object]], parent_span=None
-    ) -> Dict[int, Dict[str, object]]:
-        for shard_id in sorted(commands):
-            self._send(shard_id, commands[shard_id])
-        return self._await_replies(commands, parent_span=parent_span)
+    def broadcast(
+        self, command: Dict[str, object], parent_span=None
+    ) -> Dict[int, np.ndarray]:
+        for shard_id in sorted(self._handles):
+            self._send(shard_id, command)
+        return self._await_replies(
+            dict.fromkeys(self._handles, command), parent_span=parent_span
+        )
 
     def _await_replies(
         self,
         outstanding: Dict[int, Optional[Dict[str, object]]],
         *,
         parent_span,
-    ) -> Dict[int, Dict[str, object]]:
+    ) -> Dict[int, np.ndarray]:
         """Collect one reply per shard, supervising deaths.
 
         ``outstanding`` maps shard id -> the in-flight command (``None``
@@ -211,7 +210,7 @@ class _PipesTransport:
         """
         tracer = current_tracer()
         outstanding = dict(outstanding)
-        bodies: Dict[int, Dict[str, object]] = {}
+        bodies: Dict[int, np.ndarray] = {}
         arrivals: Dict[int, float] = {}
         while outstanding:
             conns = {
@@ -276,23 +275,18 @@ class _PipesTransport:
                 f"shard {shard_id} failed: {envelope.get('detail')}\n"
                 f"{envelope.get('traceback', '')}"
             )
-        if envelope.get("cmd") != "init":
-            self._snapshots[shard_id] = envelope.get("snapshot") or {}
-        elif shard_id not in self._snapshots:
-            # The post-init snapshot covers a death during superstep 0.
-            self._snapshots[shard_id] = envelope.get("snapshot") or {}
         offset = float(envelope.get("clock_offset", 0.0))
         shard_spans = [
             Span.from_dict(record) for record in envelope.get("spans", [])
         ]
         for span in rebase_spans(shard_spans, offset, parent=parent_span):
             tracer.record(span)
-        bodies[shard_id] = envelope.get("body") or {}
+        bodies[shard_id] = envelope.get("body")
         arrivals[shard_id] = tracer.clock.now()
         outstanding.pop(shard_id, None)
 
     def _supervise(self, shard_id: int, inflight: Optional[Dict[str, object]]) -> None:
-        """A shard died holding a command: respawn, restore, resend."""
+        """A shard died holding a command: respawn, re-init, resend."""
         handle = self._handles[shard_id]
         handle.attempts += 1
         if self.retry.exhausted(handle.attempts):
@@ -303,12 +297,7 @@ class _PipesTransport:
         self.clock.sleep(self.retry.backoff(handle.attempts - 1))
         self.respawns += 1
         self._spawn(handle)
-        self._send(
-            shard_id,
-            self._init_payload(
-                shard_id, chaos=None, restore=self._snapshots.get(shard_id),
-            ),
-        )
+        self._send(shard_id, self._init_payload(shard_id))
         # Block for the init ack, then re-send the in-flight command;
         # the outer loop keeps waiting for its reply as usual.
         while True:
@@ -351,12 +340,127 @@ class _PipesTransport:
         self._handles.clear()
 
 
+def _bound_params(
+    graph: Graph, algorithm: str, params: Optional[Mapping[str, object]]
+) -> Dict[str, object]:
+    """The algorithm loop's keyword arguments, rejected wherever
+    :func:`repro.algorithms.run_reference` rejects them, with the same
+    exception types — checked before any shard is spawned."""
+    params = dict(params or {})
+    unknown = set(params) - set(get_algorithm(algorithm).parameters)
+    if unknown:
+        raise ConfigurationError(
+            f"{algorithm}: unknown parameters {sorted(unknown)}"
+        )
+    if algorithm in ("bfs", "sssp"):
+        source = params.get("source_vertex")
+        if source is None:
+            raise ConfigurationError(
+                f"{algorithm} requires a source_vertex parameter"
+            )
+        if algorithm == "sssp" and not graph.is_weighted:
+            raise GraphFormatError("SSSP requires a weighted graph")
+        if not graph.has_vertex(source):
+            raise GraphFormatError(
+                f"{algorithm.upper()} source vertex {source} not in graph"
+            )
+        weights = graph.out_weights
+        if algorithm == "sssp" and len(weights) and float(weights.min()) < 0:
+            raise GraphFormatError("SSSP requires non-negative edge weights")
+    if params.get("iterations", 0) < 0:
+        raise GenerationError(
+            f"iterations must be >= 0, got {params['iterations']}"
+        )
+    if not 0.0 <= params.get("damping", 0.0) <= 1.0:
+        raise GenerationError(
+            f"damping must be in [0,1], got {params['damping']}"
+        )
+    return params
+
+
+# -- the reference kernels' loops, one sweep per barrier -------------------
+
+
+def _pagerank(graph: Graph, sweep: Sweep, iterations: int = 30,
+              damping: float = 0.85) -> np.ndarray:
+    n = graph.num_vertices
+    if n == 0:
+        return np.empty(0, dtype=np.float64)
+    out_degree = graph.out_degrees().astype(np.float64)
+    dangling = out_degree == 0
+    rank = np.full(n, 1.0 / n, dtype=np.float64)
+    base = (1.0 - damping) / n
+    for iteration in range(iterations):
+        contrib = np.zeros(n, dtype=np.float64)
+        np.divide(rank, out_degree, out=contrib, where=~dangling)
+        incoming = sweep(iteration, contrib)
+        dangling_share = rank[dangling].sum() / n
+        rank = base + damping * (incoming + dangling_share)
+    return rank
+
+
+def _bfs(graph: Graph, sweep: Sweep, source_vertex: int) -> np.ndarray:
+    depth = np.full(graph.num_vertices, BFS_UNREACHABLE, dtype=np.int64)
+    depth[graph.index_of(source_vertex)] = 0
+    for level in itertools.count():
+        reached = sweep(level, depth)
+        if np.array_equal(reached, depth):
+            return depth
+        depth = reached
+
+
+def _sssp(graph: Graph, sweep: Sweep, source_vertex: int) -> np.ndarray:
+    # Jacobi min-plus relaxation to the fixpoint: float addition is
+    # monotone, so the fixpoint is Dijkstra's distances bit for bit.
+    dist = np.full(graph.num_vertices, SSSP_UNREACHABLE, dtype=np.float64)
+    dist[graph.index_of(source_vertex)] = 0.0
+    for superstep in itertools.count():
+        relaxed = sweep(superstep, dist)
+        if np.array_equal(relaxed, dist):
+            return dist
+        dist = relaxed
+
+
+def _wcc(graph: Graph, sweep: Sweep) -> np.ndarray:
+    labels = np.arange(graph.num_vertices, dtype=np.int64)
+    for superstep in itertools.count():
+        new_labels = sweep(superstep, labels)
+        while True:
+            jumped = new_labels[new_labels]
+            if np.array_equal(jumped, new_labels):
+                break
+            new_labels = jumped
+        if np.array_equal(new_labels, labels):
+            return graph.vertex_ids[labels]
+        labels = new_labels
+
+
+def _cdlp(graph: Graph, sweep: Sweep, iterations: int = 10) -> np.ndarray:
+    labels = graph.vertex_ids.astype(np.int64).copy()
+    for iteration in range(iterations):
+        updated = sweep(iteration, labels)
+        if np.array_equal(updated, labels):
+            break
+        labels = updated
+    return labels
+
+
+def _lcc(graph: Graph, sweep: Sweep) -> np.ndarray:
+    return sweep(0, None, np.float64)
+
+
+_LOOPS = {
+    "pr": _pagerank, "bfs": _bfs, "sssp": _sssp,
+    "wcc": _wcc, "cdlp": _cdlp, "lcc": _lcc,
+}
+
+
 class PartitionedEngine:
-    """Vertex-partitioned execution of the Pregel/GAS/LCC kernels.
+    """Vertex-partitioned execution of the six reference kernels.
 
     Bit-identity contract: for any ``partitions`` count and either
     partition ``strategy``, the returned array is byte-for-byte equal to
-    the corresponding single-process engine's (enforced by
+    :func:`repro.algorithms.run_reference`'s (enforced by
     ``tests/engines/test_partitioned_parity.py``).
     """
 
@@ -381,289 +485,56 @@ class PartitionedEngine:
             raise ConfigurationError(
                 f"unknown partitioned transport {transport!r}"
             )
-        #: Superstep/round count of the last run (parity with the
-        #: sequential engines' second return value).
-        self.supersteps = 0
         #: Supervised shard relaunches during the last run.
         self.respawns = 0
 
-    # -- entry point -------------------------------------------------------
-
-    def run(self, spec: ProgramSpec, *, superstep_limit: int = 10_000) -> np.ndarray:
+    def run(
+        self, algorithm: str, params: Optional[Mapping[str, object]] = None
+    ) -> np.ndarray:
+        algorithm = algorithm.lower()
+        kwargs = _bound_params(self.graph, algorithm, params)
         tracer = current_tracer()
-        transport = self._make_transport(spec)
+        transport = self._make_transport(algorithm)
         try:
             with tracer.span(
                 "partitioned",
-                model=spec.model,
-                algorithm=spec.algorithm,
+                algorithm=algorithm,
                 shards=self.partition_set.num_shards,
                 strategy=self.partition_set.strategy,
                 transport=self.transport_kind,
             ):
-                if spec.model == "pregel":
-                    return self._run_pregel(spec, transport, superstep_limit)
-                if spec.model == "lcc":
-                    return self._run_lcc(transport)
-                plan = build_gas_plan(spec, self.graph)
-                if plan.mode == "active":
-                    return self._run_gas_active(plan, transport)
-                if plan.mode == "sync":
-                    return self._run_gas_sync(plan, transport)
-                return self._run_gas_pr(spec, plan, transport)
+                sweep = functools.partial(self._sweep, transport)
+                return _LOOPS[algorithm](self.graph, sweep, **kwargs)
         finally:
             self.respawns = getattr(transport, "respawns", 0)
             transport.shutdown()
 
-    def _make_transport(self, spec: ProgramSpec):
+    def _make_transport(self, algorithm: str):
         if self.transport_kind == "inline":
-            return _InlineTransport(self.graph, self.partition_set, spec)
+            return _InlineTransport(self.graph, self.partition_set, algorithm)
         return _PipesTransport(
-            self.graph, self.partition_set, spec,
+            self.graph, self.partition_set, algorithm,
             retry=self.retry, chaos_plan=self.chaos_plan,
             context=self._context,
         )
 
-    # -- pregel ------------------------------------------------------------
-
-    def _run_pregel(self, spec, transport, superstep_limit: int) -> np.ndarray:
-        graph = self.graph
+    def _sweep(self, transport, superstep: int, state: Optional[np.ndarray],
+               dtype=None) -> np.ndarray:
+        """One barrier: broadcast ``state``, merge the owned slices."""
         tracer = current_tracer()
-        program, finalize = build_pregel_program(spec, graph)
-        shard_ids = sorted(s.shard_id for s in self.partition_set.shards)
-        aggregated = {
-            name: agg.initial for name, agg in sorted(program.aggregators.items())
-        }
-        pending: Dict[int, List[MessageBatch]] = {}
-        shard_active = dict.fromkeys(shard_ids, True)
-        limit = program.max_supersteps or superstep_limit
-        self.supersteps = 0
-        for superstep in range(limit):
-            if not any(shard_active.values()) and not pending:
-                break
-            self.supersteps += 1
-            superstep_span = tracer.start_span(
-                "superstep",
-                attributes={
-                    "engine": "partitioned-pregel", "index": superstep,
-                    "shards": len(shard_ids),
-                },
-                push=True,
+        shards = self.partition_set.shards
+        with tracer.span(
+            "superstep", engine="partitioned", index=superstep,
+            shards=len(shards),
+        ) as superstep_span:
+            slices = transport.broadcast(
+                {"cmd": "step", "superstep": superstep, "state": state},
+                parent_span=superstep_span,
             )
-            commands = {
-                shard_id: {
-                    "cmd": "step",
-                    "superstep": superstep,
-                    "aggregated": aggregated,
-                    "batches": pending.get(shard_id, []),
-                }
-                for shard_id in shard_ids
-            }
-            bodies = transport.exchange(commands, parent_span=superstep_span)
-            with tracer.span("exchange", index=superstep) as exchange_span:
-                pending = {}
-                contributions = []
-                messages = 0
-                for shard_id in shard_ids:
-                    body = bodies[shard_id]
-                    shard_active[shard_id] = bool(body.get("active"))
-                    messages += int(body.get("messages_sent", 0))
-                    for batch in body.get("batches", []):
-                        pending.setdefault(batch.dst_shard, []).append(batch)
-                    contributions.extend(body.get("contributions", []))
-                # Canonical batch order (redundant given deliver()'s
-                # order-independence, but it keeps wire traffic and
-                # traces reproducible byte for byte).
-                for dst_shard in sorted(pending):
-                    pending[dst_shard].sort(key=lambda b: b.src_shard)
-                aggregated = self._fold_aggregators(program, contributions)
-                exchange_span.attributes["messages"] = messages
-                exchange_span.attributes["batches"] = sum(
-                    len(pending[dst_shard]) for dst_shard in sorted(pending)
+            with tracer.span("exchange", index=superstep):
+                merged = np.empty(
+                    self.graph.num_vertices, dtype=dtype or state.dtype
                 )
-            tracer.end_span(superstep_span)
-        return finalize(self._collect(transport))
-
-    @staticmethod
-    def _fold_aggregators(program, contributions) -> Dict[str, object]:
-        """Fold raw per-vertex contributions in the sequential order.
-
-        Sorted by (vertex, seq) per aggregator and folded left from the
-        initial value — exactly the order the single-process engine
-        folds in (vertices ascending, emissions in call order), so even
-        non-associative float addition lands on identical bits.
-        """
-        aggregated = {
-            name: agg.initial for name, agg in sorted(program.aggregators.items())
-        }
-        per_name: Dict[str, List[Tuple[int, int, object]]] = {}
-        for name, vertex, seq, value in contributions:
-            per_name.setdefault(name, []).append((vertex, seq, value))
-        for name, records in sorted(per_name.items()):
-            records.sort(key=lambda record: (record[0], record[1]))
-            combine = program.aggregators[name].combine
-            folded = aggregated[name]
-            for _, _, value in records:
-                folded = combine(folded, value)
-            aggregated[name] = folded
-        return aggregated
-
-    # -- gas ---------------------------------------------------------------
-
-    def _run_gas_active(self, plan, transport) -> np.ndarray:
-        graph = self.graph
-        tracer = current_tracer()
-        shard_ids = sorted(s.shard_id for s in self.partition_set.shards)
-        owner = self.partition_set.owner
-        values = [plan.program.init(graph, v) for v in range(graph.num_vertices)]
-        updates: List[Tuple[int, object]] = []
-        activate: Dict[int, List[int]] = {}
-        self.supersteps = 0
-        first = True
-        while first or activate:
-            round_index = self.supersteps
-            self.supersteps += 1
-            round_span = tracer.start_span(
-                "superstep",
-                attributes={
-                    "engine": "partitioned-gas", "index": round_index,
-                    "shards": len(shard_ids),
-                },
-                push=True,
-            )
-            commands = {
-                shard_id: {
-                    "cmd": "gas-round",
-                    "round": round_index,
-                    "updates": updates,
-                    "activate": activate.get(shard_id, []),
-                }
-                for shard_id in shard_ids
-            }
-            bodies = transport.exchange(commands, parent_span=round_span)
-            with tracer.span("exchange", index=round_index) as exchange_span:
-                updates = []
-                activations = set()
-                for shard_id in shard_ids:
-                    body = bodies[shard_id]
-                    updates.extend(body.get("changes", []))
-                    activations.update(body.get("activations", []))
-                updates.sort(key=lambda change: change[0])
-                for v, value in updates:
-                    values[int(v)] = value
-                activate = {}
-                for v in sorted(activations):
-                    activate.setdefault(int(owner[v]), []).append(int(v))
-                exchange_span.attributes["updates"] = len(updates)
-                exchange_span.attributes["activations"] = len(activations)
-            tracer.end_span(round_span)
-            first = False
-        return plan.finalize(values)
-
-    def _run_gas_sync(self, plan, transport) -> np.ndarray:
-        graph = self.graph
-        tracer = current_tracer()
-        shard_ids = sorted(s.shard_id for s in self.partition_set.shards)
-        values = [plan.program.init(graph, v) for v in range(graph.num_vertices)]
-        updates: List[Tuple[int, object]] = []
-        self.supersteps = 0
-        for iteration in range(plan.iterations):
-            self.supersteps += 1
-            round_span = tracer.start_span(
-                "superstep",
-                attributes={
-                    "engine": "partitioned-gas", "index": iteration,
-                    "shards": len(shard_ids),
-                },
-                push=True,
-            )
-            commands = {
-                shard_id: {
-                    "cmd": "gas-sweep",
-                    "iteration": iteration,
-                    "updates": updates,
-                }
-                for shard_id in shard_ids
-            }
-            bodies = transport.exchange(commands, parent_span=round_span)
-            with tracer.span("exchange", index=iteration) as exchange_span:
-                updates = []
-                for shard_id in shard_ids:
-                    updates.extend(bodies[shard_id].get("changes", []))
-                updates.sort(key=lambda change: change[0])
-                for v, value in updates:
-                    values[int(v)] = value
-                exchange_span.attributes["updates"] = len(updates)
-            tracer.end_span(round_span)
-        return plan.finalize(values)
-
-    def _run_gas_pr(self, spec, plan, transport) -> np.ndarray:
-        """Coordinator-driven PageRank sweeps (the GAS front-end's loop).
-
-        The shards run only the in-edge gather fold; the numpy rank
-        update and the dangling-mass fold happen here with the exact
-        operations of :func:`repro.engines.gas.run_pagerank` — which is
-        what makes the output bit-identical.
-        """
-        graph = self.graph
-        tracer = current_tracer()
-        n = graph.num_vertices
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        damping = float(spec.param("damping", 0.85))
-        shard_ids = sorted(s.shard_id for s in self.partition_set.shards)
-        out_degree = graph.out_degrees().astype(np.float64)
-        dangling = out_degree == 0
-        rank = np.full(n, 1.0 / n, dtype=np.float64)
-        base = (1.0 - damping) / n
-        self.supersteps = 0
-        for iteration in range(plan.iterations):
-            self.supersteps += 1
-            round_span = tracer.start_span(
-                "superstep",
-                attributes={
-                    "engine": "partitioned-gas", "index": iteration,
-                    "shards": len(shard_ids),
-                },
-                push=True,
-            )
-            contrib = np.zeros(n, dtype=np.float64)
-            np.divide(rank, out_degree, out=contrib, where=~dangling)
-            commands = {
-                shard_id: {"cmd": "pr-gather", "contrib": contrib.tolist()}
-                for shard_id in shard_ids
-            }
-            bodies = transport.exchange(commands, parent_span=round_span)
-            with tracer.span("exchange", index=iteration):
-                gathered = [0.0] * n
-                for shard_id in shard_ids:
-                    for v, total in bodies[shard_id].get("gathered", []):
-                        gathered[int(v)] = total
-                dangling_share = rank[dangling].sum() / n
-                rank = base + damping * (np.array(gathered) + dangling_share)
-            tracer.end_span(round_span)
-        return rank
-
-    # -- lcc / merge -------------------------------------------------------
-
-    def _run_lcc(self, transport) -> np.ndarray:
-        shard_ids = sorted(s.shard_id for s in self.partition_set.shards)
-        commands = {shard_id: {"cmd": "lcc"} for shard_id in shard_ids}
-        bodies = transport.exchange(commands, parent_span=None)
-        result = np.zeros(self.graph.num_vertices, dtype=np.float64)
-        for shard_id in shard_ids:
-            for v, value in bodies[shard_id].get("values", []):
-                result[int(v)] = value
-        self.supersteps = 1
-        return result
-
-    def _collect(self, transport) -> List[object]:
-        """Deterministic merge: every vertex from exactly its owner."""
-        shard_ids = sorted(s.shard_id for s in self.partition_set.shards)
-        commands = {shard_id: {"cmd": "collect"} for shard_id in shard_ids}
-        bodies = transport.exchange(commands, parent_span=None)
-        values: List[object] = [None] * self.graph.num_vertices
-        for shard_id in shard_ids:
-            for v, value in bodies[shard_id].get("values", []):
-                values[int(v)] = value
-        return values
+                for shard in shards:
+                    merged[shard.owned] = slices[shard.shard_id]
+        return merged

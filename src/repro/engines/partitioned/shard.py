@@ -1,47 +1,40 @@
-"""One shard: per-partition execution state and the worker entrypoint.
+"""One shard: the CSR slice of its owned vertices and the worker entrypoint.
 
-:class:`ShardState` is the whole of a shard's behavior — build the
-local program from the spec, run one Pregel superstep / GAS round /
-GAS sweep / PR gather / LCC slice over the *owned* vertices, and pack
-the results for the barrier. It is transport-agnostic: the inline
-transport calls it in-process (fast deterministic tests), and
-:func:`shard_main` wraps it in the runtime pool's worker discipline —
-private task/result pipes, the orphan guard, a per-process tracer whose
-spans ship home with the clock-offset handshake, and a
-``partitioned.shard.step`` fault-point check that lets a chaos plan
-SIGKILL the shard mid-superstep.
+:class:`ShardState` is the whole of a shard's behavior. At init it
+builds, once, the CSR slice of the vertices it owns; at every barrier
+it receives the previous global state as one numpy array (PageRank
+contributions, BFS depths, SSSP distances, WCC or CDLP labels) and
+returns one array for its owned slice — the same numpy sweep the
+reference kernel in :mod:`repro.algorithms` runs, restricted to those
+rows. It keeps no mutable state between barriers, so a replacement
+shard needs only the init payload and the in-flight command.
 
-Bit-identity invariants enforced here:
+It is transport-agnostic: the inline transport calls it in-process
+(fast deterministic tests), and :func:`shard_main` wraps it in the
+runtime pool's worker discipline — private task/result pipes, the
+orphan guard, a per-process tracer whose spans ship home with the
+clock-offset handshake, and a ``partitioned.shard.step`` fault-point
+check that lets a chaos plan SIGKILL the shard mid-superstep.
 
-* owned vertices are processed in ascending dense-index order, so the
-  union of shard worksets is processed in exactly the sequential
-  engine's order;
-* aggregator contributions are *recorded raw* (never pre-folded on the
-  shard) as ``(vertex, seq, value)`` — the coordinator folds them in
-  global sorted order from the aggregator's initial value, reproducing
-  the sequential fold even for non-associative float addition;
-* GAS rounds gather against the last-barrier value table (pure Jacobi)
-  — never a mid-round update — so results cannot depend on which shard
-  a neighbor landed on.
+Bit-identity with the reference kernels rests on the slice layout: a
+slot's target is an owned vertex and its source the vertex it hears
+from, and one target's slots are contiguous in ascending source order —
+the order the reference PageRank's ``np.bincount`` over out-CSR slots
+adds each target's contributions in. Every other sweep is a min or a
+label count, which no order can change.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.engines.gas import GASEngine
-from repro.engines.partitioned.exchange import MessageBatch, Outbox, deliver
-from repro.engines.partitioned.programs import (
-    GasPlan,
-    ProgramSpec,
-    build_gas_plan,
-    build_pregel_program,
-)
-from repro.engines.pregel import Aggregator, VertexContext
-from repro.exceptions import ConfigurationError
+from repro.algorithms.bfs import BFS_UNREACHABLE
+from repro.algorithms.cdlp import _most_frequent_min_label
+from repro.algorithms.common import gather_neighbors
+from repro.algorithms.lcc import local_clustering_coefficient
 from repro.faults.points import check
 from repro.graph.graph import Graph
 from repro.trace import Tracer, set_tracer
@@ -77,252 +70,76 @@ def graph_from_payload(payload: Dict[str, object]) -> Graph:
 
 
 class ShardState:
-    """Execution state of one shard for one partitioned run."""
+    """One shard's CSR slice and its per-barrier sweep.
 
-    def __init__(
-        self,
-        graph: Graph,
-        shard_id: int,
-        owned: Sequence[int],
-        owner: np.ndarray,
-        num_shards: int,
-        spec: ProgramSpec,
-    ):
+    ``targets[k]`` is the owned-slice position of the vertex slot ``k``
+    feeds, ``sources[k]`` the dense index of the vertex it hears from,
+    and ``weights[k]`` that edge's weight (SSSP only). Every algorithm
+    pulls along in-edges; WCC and CDLP on directed graphs also hear
+    out-neighbors, as their reference kernels do.
+    """
+
+    def __init__(self, graph: Graph, owned, algorithm: str):
         self.graph = graph
-        self.shard_id = int(shard_id)
-        self.owned = sorted(int(v) for v in owned)
-        self.owner = np.asarray(owner, dtype=np.int64)
-        self.num_shards = int(num_shards)
-        self.spec = spec
-        self.model = spec.model
-
-        if self.model == "pregel":
-            self.program, _ = build_pregel_program(spec, graph)
-            self.values: Dict[int, object] = {
-                v: self.program.init(graph, v) for v in self.owned
-            }
-            self.active = set(self.owned)
-            # Recording aggregator defs: `ctx.aggregate` folds into
-            # `_aggregated_next[name]` with the def's combine — tuple
-            # append records raw contributions instead of folding, so
-            # the coordinator can fold them in the global order.
-            self._recording_defs = {
-                name: Aggregator(initial=(), combine=lambda acc, value: acc + (value,))
-                for name in self.program.aggregators
-            }
-        elif self.model == "gas":
-            self.plan: GasPlan = build_gas_plan(spec, graph)
-            self._gas_engine = GASEngine(graph)
-            if self.plan.mode != "pr":
-                # Every shard derives the same full value table from the
-                # deterministic init; the barrier keeps them in lockstep.
-                self.table: List[object] = [
-                    self.plan.program.init(graph, v)
-                    for v in range(graph.num_vertices)
-                ]
-            self.gas_active = set(self.owned)
-        elif self.model == "lcc":
-            pass
-        else:
-            raise ConfigurationError(
-                f"unknown partitioned execution model {self.model!r}"
+        self.owned = np.asarray(owned, dtype=np.int64)
+        self.algorithm = algorithm
+        self.size = len(self.owned)
+        rows = [(graph.in_indptr, graph.in_indices, graph.in_weights)]
+        if algorithm in ("wcc", "cdlp") and graph.directed:
+            rows.append((graph.out_indptr, graph.out_indices, None))
+        targets, sources, weights = [], [], []
+        for indptr, indices, edge_weights in rows:
+            slots = gather_neighbors(
+                indptr, np.arange(indptr[-1], dtype=np.int64), self.owned
             )
+            targets.append(np.repeat(
+                np.arange(self.size, dtype=np.int64),
+                indptr[self.owned + 1] - indptr[self.owned],
+            ))
+            sources.append(indices[slots])
+            if edge_weights is not None:
+                weights.append(edge_weights[slots])
+        self.targets = np.concatenate(targets)
+        self.sources = np.concatenate(sources)
+        self.weights = np.concatenate(weights) if weights else None
 
-    # -- command dispatch --------------------------------------------------
+    def step(self, superstep: int, state: Optional[np.ndarray]) -> np.ndarray:
+        """The owned slice of the next global state."""
+        return getattr(self, f"_step_{self.algorithm}")(superstep, state)
 
-    def apply_command(self, payload: Dict[str, object]) -> Dict[str, object]:
-        cmd = payload["cmd"]
-        if cmd == "step":
-            return self.pregel_superstep(
-                int(payload["superstep"]),
-                dict(payload["aggregated"]),
-                list(payload["batches"]),
-            )
-        if cmd == "gas-round":
-            return self.gas_round(
-                list(payload["updates"]), list(payload["activate"])
-            )
-        if cmd == "gas-sweep":
-            return self.gas_sweep(list(payload["updates"]))
-        if cmd == "pr-gather":
-            return self.pr_gather(list(payload["contrib"]))
-        if cmd == "lcc":
-            return self.lcc()
-        if cmd == "collect":
-            return self.collect()
-        raise ConfigurationError(f"unknown shard command {cmd!r}")
-
-    # -- pregel ------------------------------------------------------------
-
-    def pregel_superstep(
-        self,
-        superstep: int,
-        aggregated: Dict[str, object],
-        batches: List[MessageBatch],
-    ) -> Dict[str, object]:
-        """Run one superstep over the owned slice of the workset."""
-        graph = self.graph
-        program = self.program
-        inbox = deliver(batches, program.combiner)
-        outbox = Outbox(
-            self.owner, self.num_shards, self.shard_id, superstep,
-            program.combiner,
+    def _step_pr(self, superstep: int, contrib: np.ndarray) -> np.ndarray:
+        return np.bincount(
+            self.targets, weights=contrib[self.sources], minlength=self.size
         )
-        contributions: List[Tuple[str, int, int, object]] = []
-        next_active = set()
-        workset = sorted(self.active | set(inbox))
-        for v in workset:
-            recording_next = {name: () for name in self._recording_defs}
-            nbrs, weights = graph.out_edges(v)
-            ctx = VertexContext(
-                graph=graph,
-                vertex=v,
-                vertex_id=int(graph.vertex_ids[v]),
-                superstep=superstep,
-                value=self.values[v],
-                num_vertices=graph.num_vertices,
-                out_neighbors=nbrs,
-                out_weights=weights,
-                _aggregator_defs=self._recording_defs,
-                _aggregated_prev=aggregated,
-                _aggregated_next=recording_next,
-            )
-            program.compute(ctx, inbox.get(v, []))
-            self.values[v] = ctx.value
-            for target, message in ctx._outbox:
-                outbox.send(v, target, message)
-            if not ctx._halted:
-                next_active.add(v)
-            for name in sorted(recording_next):
-                for seq, value in enumerate(recording_next[name]):
-                    contributions.append((name, v, seq, value))
-        self.active = next_active
-        return {
-            "batches": outbox.batches(),
-            "contributions": contributions,
-            "active": bool(next_active),
-            "messages_sent": outbox.messages_sent,
-        }
 
-    # -- gas ---------------------------------------------------------------
+    def _step_bfs(self, level: int, depth: np.ndarray) -> np.ndarray:
+        heard = self.targets[depth[self.sources] == level]
+        reached = depth[self.owned]
+        fresh = (np.bincount(heard, minlength=self.size) > 0) & (
+            reached == BFS_UNREACHABLE
+        )
+        reached[fresh] = level + 1
+        return reached
 
-    def gas_round(
-        self,
-        updates: List[Tuple[int, object]],
-        activate: List[int],
-    ) -> Dict[str, object]:
-        """One active-set round over the owned active vertices.
+    def _step_sssp(self, superstep: int, dist: np.ndarray) -> np.ndarray:
+        relaxed = dist[self.owned]
+        np.minimum.at(relaxed, self.targets, dist[self.sources] + self.weights)
+        return relaxed
 
-        ``updates`` are last round's global value changes (broadcast to
-        every shard); ``activate`` the owned vertices whose gather
-        neighbors changed. Gather reads only the post-update table, and
-        changes are *not* applied locally mid-round — Jacobi within the
-        round, so any shard count sees identical neighbor values.
-        """
-        program = self.plan.program
-        for v, value in updates:
-            self.table[int(v)] = value
-        self.gas_active |= {int(v) for v in activate}
-        changes: List[Tuple[int, object]] = []
-        activations = set()
-        for v in sorted(self.gas_active):
-            gathered = program.gather_zero
-            for u, weight in self._gas_engine._gather_edges(
-                v, program.both_directions
-            ):
-                gathered = program.gather_sum(
-                    gathered, program.gather(self.table[u], weight)
-                )
-            new_value = program.apply(self.table[v], gathered)
-            if new_value != self.table[v]:
-                changes.append((v, new_value))
-                activations.update(
-                    int(t)
-                    for t in self._gas_engine._scatter_targets(
-                        v, program.both_directions
-                    )
-                )
-        self.gas_active = set()
-        return {"changes": changes, "activations": sorted(activations)}
+    def _step_wcc(self, superstep: int, labels: np.ndarray) -> np.ndarray:
+        lowest = labels[self.owned]
+        np.minimum.at(lowest, self.targets, labels[self.sources])
+        return lowest
 
-    def gas_sweep(self, updates: List[Tuple[int, object]]) -> Dict[str, object]:
-        """One synchronous sweep: apply all owned vertices vs the snapshot."""
-        program = self.plan.program
-        for v, value in updates:
-            self.table[int(v)] = value
-        changes: List[Tuple[int, object]] = []
-        for v in self.owned:
-            gathered = program.gather_zero
-            for u, weight in self._gas_engine._gather_edges(
-                v, program.both_directions
-            ):
-                gathered = program.gather_sum(
-                    gathered, program.gather(self.table[u], weight)
-                )
-            changes.append((v, program.apply(self.table[v], gathered)))
-        return {"changes": changes}
+    def _step_cdlp(self, superstep: int, labels: np.ndarray) -> np.ndarray:
+        heard = _most_frequent_min_label(
+            self.size, self.targets, labels[self.sources]
+        )
+        return np.where(heard >= 0, heard, labels[self.owned])
 
-    def pr_gather(self, contrib: List[float]) -> Dict[str, object]:
-        """PageRank gather kernel: fold contributions over in-edges.
-
-        Reproduces the sequential sweep's fold exactly — start from 0.0
-        and add ``contrib[u]`` in in-CSR order — so the coordinator's
-        rank update sees bit-identical gathered values.
-        """
-        gathered: List[Tuple[int, float]] = []
-        for v in self.owned:
-            total = 0.0
-            for u, _ in self._gas_engine._gather_edges(v, False):
-                total = total + contrib[u]
-            gathered.append((v, total))
-        return {"gathered": gathered}
-
-    # -- lcc ---------------------------------------------------------------
-
-    def lcc(self) -> Dict[str, object]:
-        from repro.algorithms.lcc import local_clustering_coefficient
-
+    def _step_lcc(self, superstep: int, state: None) -> np.ndarray:
         values = local_clustering_coefficient(self.graph, vertices=self.owned)
-        return {"values": [(v, float(values[v])) for v in self.owned]}
-
-    # -- merge / supervision ----------------------------------------------
-
-    def collect(self) -> Dict[str, object]:
-        """Final owned values, for the coordinator's deterministic merge."""
-        if self.model == "pregel":
-            return {"values": [(v, self.values[v]) for v in self.owned]}
-        if self.model == "gas" and self.plan.mode != "pr":
-            return {"values": [(v, self.table[v]) for v in self.owned]}
-        return {"values": []}
-
-    def snapshot(self) -> Dict[str, object]:
-        """Barrier-time picklable state, enough to rebuild this shard.
-
-        Rides every reply envelope; the coordinator re-inits a
-        replacement worker from the last barrier's snapshot plus the
-        retained in-flight command when a shard dies mid-superstep.
-        """
-        if self.model == "pregel":
-            return {
-                "values": [(v, self.values[v]) for v in self.owned],
-                "active": sorted(self.active),
-            }
-        if self.model == "gas" and self.plan.mode != "pr":
-            return {
-                "table": list(self.table),
-                "active": sorted(self.gas_active),
-            }
-        return {}
-
-    def restore(self, snapshot: Dict[str, object]) -> None:
-        if not snapshot:
-            return
-        if self.model == "pregel":
-            self.values = {int(v): value for v, value in snapshot["values"]}
-            self.active = {int(v) for v in snapshot["active"]}
-        elif self.model == "gas" and self.plan.mode != "pr":
-            self.table = list(snapshot["table"])
-            self.gas_active = {int(v) for v in snapshot["active"]}
+        return values[self.owned]
 
 
 def shard_main(shard_id: int, task_conn, result_conn) -> None:
@@ -364,25 +181,19 @@ def shard_main(shard_id: int, task_conn, result_conn) -> None:
                     install_io_plan(IoFaultPlan.from_dict(chaos))
                 state = ShardState(
                     graph_from_payload(payload["graph"]),
-                    shard_id,
                     payload["owned"],
-                    payload["owner"],
-                    int(payload["num_shards"]),
-                    payload["spec"],
+                    payload["algorithm"],
                 )
-                restore = payload.get("restore")
-                if restore:
-                    state.restore(restore)
-                body: Dict[str, object] = {"ok": True}
+                body = None
             else:
                 # The chaos plane's hook: a kill-kind fault here is a
                 # shard dying between the barrier and its compute.
                 check(STEP_FAULT_POINT)
                 with tracer.span(
-                    "shard-compute", shard=shard_id, cmd=cmd,
-                    superstep=payload.get("superstep"),
+                    "shard-compute", shard=shard_id,
+                    superstep=payload["superstep"],
                 ):
-                    body = state.apply_command(payload)
+                    body = state.step(payload["superstep"], payload["state"])
         except Exception as exc:  # noqa: BLE001 — converted, not swallowed
             import traceback
 
@@ -404,9 +215,7 @@ def shard_main(shard_id: int, task_conn, result_conn) -> None:
                 "shard": shard_id,
                 "cmd": cmd,
                 "body": body,
-                "snapshot": state.snapshot() if state is not None else {},
                 "spans": [span.as_dict() for span in tracer.drain()],
-                "counters": tracer.take_counters(),
                 "clock_offset": clock_offset,
             }
         )

@@ -27,9 +27,6 @@ from repro.graph.graph import Graph
 
 __all__ = [
     "Aggregator",
-    "Combiner",
-    "MIN_COMBINER",
-    "HISTOGRAM_COMBINER",
     "VertexContext",
     "VertexProgram",
     "PregelEngine",
@@ -56,57 +53,6 @@ class Aggregator:
 
     initial: object
     combine: Callable[[object, object], object]
-
-
-@dataclass(frozen=True)
-class Combiner:
-    """A Pregel message combiner (Malewicz et al. §3.2).
-
-    A combiner lets the system merge the messages bound for one vertex
-    *before* they cross a process boundary, cutting exchange volume.
-    ``merge`` must be commutative and associative **and exact** (bit-for-
-    bit independent of merge order): min over numbers and integer
-    histogram addition qualify; float summation does not — a program
-    whose message reduction is inexact (PageRank) declares no combiner
-    and its messages travel individually, delivered in the canonical
-    (sender, emission) order.
-
-    ``lift`` maps one message onto the combined ("wire") representation;
-    ``expand`` maps a wire value back to the message list the vertex
-    program observes. The contract: for any message multiset M and any
-    partition/merge tree over it, ``compute`` must behave identically on
-    ``expand(merge-fold(lift(M)))`` and on M itself.
-    """
-
-    name: str
-    lift: Callable[[object], object]
-    merge: Callable[[object, object], object]
-    expand: Callable[[object], List[object]]
-
-
-def _expand_histogram(wire: object) -> List[object]:
-    counts: Counter = wire  # type: ignore[assignment]
-    expanded: List[object] = []
-    for label in sorted(counts):
-        expanded.extend([label] * counts[label])
-    return expanded
-
-
-#: Exact min-combining: BFS depths, SSSP distances, WCC labels.
-MIN_COMBINER = Combiner(
-    name="min",
-    lift=lambda message: message,
-    merge=min,
-    expand=lambda wire: [wire],
-)
-
-#: Exact histogram-combining: CDLP label counts (integer addition).
-HISTOGRAM_COMBINER = Combiner(
-    name="histogram",
-    lift=lambda message: Counter({message: 1}),
-    merge=lambda a, b: a + b,
-    expand=_expand_histogram,
-)
 
 
 @dataclass
@@ -176,10 +122,6 @@ class VertexProgram:
     compute: Callable[[VertexContext, List[object]], None]
     max_supersteps: Optional[int] = None
     aggregators: Dict[str, Aggregator] = field(default_factory=dict)
-    #: Optional exact message combiner a distributed executor may apply
-    #: before the wire; the sequential engine ignores it (delivering the
-    #: raw messages is observationally identical, per the contract).
-    combiner: Optional[Combiner] = None
 
 
 class PregelEngine:
@@ -289,7 +231,7 @@ def bfs_program(graph: Graph, source: int) -> Tuple[VertexProgram, Callable]:
                 ctx.send_message_to_all_neighbors(depth + 1)
         ctx.vote_to_halt()
 
-    program = VertexProgram("bfs", init, compute, combiner=MIN_COMBINER)
+    program = VertexProgram("bfs", init, compute)
     return program, lambda values: _as_array(values, np.int64)
 
 
@@ -314,7 +256,7 @@ def sssp_program(graph: Graph, source: int) -> Tuple[VertexProgram, Callable]:
                 ctx.send_message_to(int(nbr), ctx.value + float(weight))
         ctx.vote_to_halt()
 
-    program = VertexProgram("sssp", init, compute, combiner=MIN_COMBINER)
+    program = VertexProgram("sssp", init, compute)
     return program, lambda values: _as_array(values, np.float64)
 
 
@@ -341,7 +283,7 @@ def wcc_program(graph: Graph) -> Tuple[VertexProgram, Callable]:
                 ctx.send_message_to(int(nbr), ctx.value)
         ctx.vote_to_halt()
 
-    program = VertexProgram("wcc", init, compute, combiner=MIN_COMBINER)
+    program = VertexProgram("wcc", init, compute)
     return program, lambda values: _as_array(values, np.int64)
 
 
@@ -377,10 +319,7 @@ def cdlp_program(graph: Graph, iterations: int) -> Tuple[VertexProgram, Callable
         else:
             ctx.vote_to_halt()
 
-    program = VertexProgram(
-        "cdlp", init, compute, max_supersteps=iterations + 1,
-        combiner=HISTOGRAM_COMBINER,
-    )
+    program = VertexProgram("cdlp", init, compute, max_supersteps=iterations + 1)
     return program, lambda values: _as_array(values, np.int64)
 
 

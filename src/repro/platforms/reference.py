@@ -88,17 +88,12 @@ class ReferenceDriver(PlatformDriver):
         # runtime pool, whose import chain reaches back to this module.
         from repro.engines.partitioned import run_algorithm as run_partitioned
 
-        # PageRank goes through the GAS model: its sharded sweeps repeat
-        # the reference kernel's numpy reductions exactly, so the driver
-        # keeps bit-identical outputs (the Pregel formulation rounds
-        # differently at the last ulp).
         return run_partitioned(
             graph,
             algorithm,
             dict(params or {}),
             partitions=self.partitions,
             strategy=self.partition_strategy,
-            model="gas" if algorithm == "pr" else "auto",
         )
 
     def execute(

@@ -13,23 +13,39 @@ from repro.graph.builder import GraphBuilder
 
 
 @st.composite
-def random_graphs(draw, directed=None, weighted=False, max_vertices=24):
-    """Arbitrary small graphs with at least one vertex."""
+def random_graphs(draw, directed=None, weighted=False, max_vertices=24,
+                  degenerate=False):
+    """Arbitrary small graphs with at least one vertex.
+
+    ``degenerate=True`` also keeps self-loops, adds isolated vertices
+    with sparse ids, and draws weights from a small tied set that
+    includes zero.
+    """
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     if directed is None:
         directed = draw(st.booleans())
-    builder = GraphBuilder(directed=directed, weighted=weighted, dedup=True)
+    builder = GraphBuilder(directed=directed, weighted=weighted, dedup=True,
+                           allow_self_loops=degenerate)
     builder.add_vertices(range(n))
+    if degenerate:
+        isolated = draw(st.lists(st.integers(min_value=n, max_value=10 * n + 10),
+                                 max_size=3, unique=True))
+        builder.add_vertices(isolated)
     max_edges = min(60, n * (n - 1) // (1 if directed else 2))
+    if degenerate:
+        max_edges += n
     pair = st.tuples(
         st.integers(min_value=0, max_value=n - 1),
         st.integers(min_value=0, max_value=n - 1),
     )
+    weights = st.floats(min_value=0.01, max_value=10.0)
+    if degenerate:
+        weights = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), weights)
     edges = draw(st.lists(pair, max_size=max_edges))
     for s, d in edges:
-        if s == d:
+        if s == d and not degenerate:
             continue
-        weight = draw(st.floats(min_value=0.01, max_value=10.0)) if weighted else None
+        weight = draw(weights) if weighted else None
         builder.add_edge(s, d, weight)
     return builder.build()
 

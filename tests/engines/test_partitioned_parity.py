@@ -1,105 +1,71 @@
-"""Parity oracle for the sharded engine (ROADMAP item 3).
+"""Parity oracle for the sharded engine.
 
 The partitioned engine's core contract: for every core algorithm, ANY
 shard count, either partitioning strategy, and either transport, the
-finalized output is **byte-identical** (through the canonical output
-codec) to the single-process engine it shards. This suite is the
-oracle:
+output is **byte-identical** (through the canonical output codec) to
+the reference kernel, :func:`repro.algorithms.run_reference`. This
+suite is the oracle:
 
 * the full matrix — six algorithms x miniature graphs x shard counts
   {1,2,3,4} x both strategies — on the inline transport;
 * a real-process subset on the pipes transport;
+* a hypothesis differential suite on random and degenerate graphs
+  (self-loops, isolated vertices, tied and zero weights, more shards
+  than vertices);
 * partitioner invariants on seeded random graphs (every vertex owned
   exactly once, every cut edge mirrored on both sides, shard sizes
   within the strategy's balance bound);
-* exchange determinism: permuting batch delivery order cannot change
-  the delivered state;
+* the reference kernels' input errors, raised with the same types;
 * chaos: a shard SIGKILLed mid-superstep is relaunched by the
   supervisor and the run still completes bit-identically.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.lcc import local_clustering_coefficient
-from repro.engines import gas, pregel
+from repro.algorithms import run_reference
+from repro.algorithms.output_io import write_output
 from repro.engines.partitioned import (
     PARTITION_STRATEGIES,
     STEP_FAULT_POINT,
-    Outbox,
     PartitionedEngine,
-    deliver,
     partition_graph,
     run_algorithm,
-    spec_for,
 )
-from repro.engines.pregel import HISTOGRAM_COMBINER, MIN_COMBINER
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, GenerationError, GraphFormatError
+from repro.graph.graph import Graph
 
 from tests.algorithms.test_properties import random_graphs
 
 SHARD_COUNTS = (1, 2, 3, 4)
 
-#: name -> (model, algorithm, params, baseline runner, graph fixtures).
-#: Baselines are the single-process engines the partitioned engine
-#: shards — the bit-identity contract is against them, per model.
+
+def _first(graph):
+    return {"source_vertex": int(graph.vertex_ids[0])}
+
+
+def _last(graph):
+    return {"source_vertex": int(graph.vertex_ids[-1])}
+
+
+#: name -> (algorithm, params, graph fixtures). The oracle is always
+#: ``run_reference``. The names keep the prefixes of the earlier
+#: per-engine matrix so test ids stay comparable across history; the
+#: two cases of a pair now differ in their parameters, not the engine.
 CASES = {
-    "pregel-bfs": (
-        "pregel", "bfs", lambda g: {"source_vertex": int(g.vertex_ids[0])},
-        lambda g: pregel.run_bfs(g, int(g.vertex_ids[0])),
-        ("er_undirected", "er_directed", "two_triangles"),
-    ),
-    "pregel-sssp": (
-        "pregel", "sssp", lambda g: {"source_vertex": int(g.vertex_ids[0])},
-        lambda g: pregel.run_sssp(g, int(g.vertex_ids[0])),
-        ("er_weighted",),
-    ),
-    "pregel-wcc": (
-        "pregel", "wcc", lambda g: {},
-        pregel.run_wcc,
-        ("er_undirected", "er_directed", "two_triangles"),
-    ),
-    "pregel-cdlp": (
-        "pregel", "cdlp", lambda g: {"iterations": 5},
-        lambda g: pregel.run_cdlp(g, 5),
-        ("er_undirected", "er_directed"),
-    ),
-    "pregel-pr": (
-        "pregel", "pr", lambda g: {"iterations": 20},
-        lambda g: pregel.run_pagerank(g, 20),
-        ("er_undirected", "er_directed"),
-    ),
-    "gas-bfs": (
-        "gas", "bfs", lambda g: {"source_vertex": int(g.vertex_ids[0])},
-        lambda g: gas.run_bfs(g, int(g.vertex_ids[0])),
-        ("er_undirected", "er_directed", "two_triangles"),
-    ),
-    "gas-sssp": (
-        "gas", "sssp", lambda g: {"source_vertex": int(g.vertex_ids[0])},
-        lambda g: gas.run_sssp(g, int(g.vertex_ids[0])),
-        ("er_weighted",),
-    ),
-    "gas-wcc": (
-        "gas", "wcc", lambda g: {},
-        gas.run_wcc,
-        ("er_undirected", "er_directed"),
-    ),
-    "gas-cdlp": (
-        "gas", "cdlp", lambda g: {"iterations": 5},
-        lambda g: gas.run_cdlp(g, 5),
-        ("er_undirected", "er_directed"),
-    ),
-    "gas-pr": (
-        "gas", "pr", lambda g: {"iterations": 20},
-        lambda g: gas.run_pagerank(g, 20),
-        ("er_undirected", "er_directed"),
-    ),
-    "lcc": (
-        "lcc", "lcc", lambda g: {},
-        local_clustering_coefficient,
-        ("er_undirected", "grid4x5", "two_triangles"),
-    ),
+    "pregel-bfs": ("bfs", _first, ("er_undirected", "er_directed", "two_triangles")),
+    "gas-bfs": ("bfs", _last, ("er_undirected", "er_directed", "two_triangles")),
+    "pregel-sssp": ("sssp", _first, ("er_weighted",)),
+    "gas-sssp": ("sssp", _last, ("er_weighted",)),
+    "pregel-wcc": ("wcc", lambda g: {}, ("er_undirected", "er_directed", "two_triangles")),
+    "gas-wcc": ("wcc", lambda g: {}, ("grid4x5", "star6", "path5")),
+    "pregel-cdlp": ("cdlp", lambda g: {"iterations": 5}, ("er_undirected", "er_directed")),
+    "gas-cdlp": ("cdlp", lambda g: {}, ("er_undirected", "er_directed", "two_triangles")),
+    "pregel-pr": ("pr", lambda g: {"iterations": 20}, ("er_undirected", "er_directed")),
+    "gas-pr": ("pr", lambda g: {"iterations": 20, "damping": 0.5},
+               ("er_undirected", "er_directed", "star6")),
+    "lcc": ("lcc", lambda g: {}, ("er_undirected", "grid4x5", "two_triangles")),
 }
 
 
@@ -112,24 +78,24 @@ class TestParityMatrix:
     def test_bit_identical(
         self, case, shards, strategy, request, canonical_bytes
     ):
-        model, algorithm, make_params, baseline, fixtures = CASES[case]
+        algorithm, make_params, fixtures = CASES[case]
         for fixture in fixtures:
             graph = request.getfixturevalue(fixture)
-            expected = baseline(graph)
+            params = make_params(graph)
+            expected = run_reference(algorithm, graph, params)
             actual = run_algorithm(
                 graph,
                 algorithm,
-                make_params(graph),
+                params,
                 partitions=shards,
                 strategy=strategy,
-                model=model,
                 transport="inline",
             )
             assert actual.dtype == expected.dtype, fixture
             assert canonical_bytes(graph, actual, algorithm) == \
                 canonical_bytes(graph, expected, algorithm), (
                 f"{case} on {fixture}: {shards} {strategy} shard(s) "
-                f"diverged from the single-process engine"
+                f"diverged from the reference kernel"
             )
 
 
@@ -141,32 +107,64 @@ class TestPipesTransport:
     def test_bit_identical_over_pipes(
         self, case, shards, er_undirected, canonical_bytes
     ):
-        model, algorithm, make_params, baseline, _ = CASES[case]
+        algorithm, make_params, _ = CASES[case]
         graph = er_undirected
-        expected = baseline(graph)
+        params = make_params(graph)
+        expected = run_reference(algorithm, graph, params)
         actual = run_algorithm(
             graph,
             algorithm,
-            make_params(graph),
+            params,
             partitions=shards,
-            model=model,
             transport="pipes",
         )
         assert canonical_bytes(graph, actual, algorithm) == \
             canonical_bytes(graph, expected, algorithm)
 
     def test_sssp_weighted_over_pipes(self, er_weighted, canonical_bytes):
-        source = int(er_weighted.vertex_ids[0])
-        expected = pregel.run_sssp(er_weighted, source)
+        params = _first(er_weighted)
+        expected = run_reference("sssp", er_weighted, params)
         actual = run_algorithm(
-            er_weighted,
-            "sssp",
-            {"source_vertex": source},
-            partitions=2,
-            transport="pipes",
+            er_weighted, "sssp", params, partitions=2, transport="pipes",
         )
         assert canonical_bytes(er_weighted, actual, "sssp") == \
             canonical_bytes(er_weighted, expected, "sssp")
+
+
+class TestReferenceDifferential:
+    """Random and degenerate graphs: every algorithm, shard count and
+    strategy matches the reference kernel's canonical bytes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=st.booleans().flatmap(
+        lambda weighted: random_graphs(
+            weighted=weighted, max_vertices=10, degenerate=True
+        )
+    ))
+    def test_matches_run_reference(self, graph, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("differential")
+
+        def render(values, algorithm):
+            path = directory / "out.txt"
+            write_output(graph, values, path, algorithm=algorithm)
+            return path.read_bytes()
+
+        for algorithm in ("bfs", "pr", "wcc", "cdlp", "lcc", "sssp"):
+            if algorithm == "sssp" and not graph.is_weighted:
+                continue
+            params = _first(graph) if algorithm in ("bfs", "sssp") else {}
+            expected = run_reference(algorithm, graph, params)
+            rendered = render(expected, algorithm)
+            for shards in SHARD_COUNTS:
+                for strategy in PARTITION_STRATEGIES:
+                    actual = run_algorithm(
+                        graph, algorithm, params, partitions=shards,
+                        strategy=strategy, transport="inline",
+                    )
+                    assert actual.dtype == expected.dtype
+                    assert render(actual, algorithm) == rendered, (
+                        f"{algorithm}: {shards} {strategy} shard(s)"
+                    )
 
 
 class TestPartitionerInvariants:
@@ -241,69 +239,49 @@ class TestPartitionerInvariants:
             partition_graph(er_undirected, 2, "random")
 
 
+def _negative_weights():
+    return Graph(
+        vertex_ids=np.array([1, 2, 3]), src=np.array([0, 1]),
+        dst=np.array([1, 2]), directed=True, weights=np.array([1.0, -0.5]),
+    )
+
+
+class TestReferenceErrors:
+    """The sharded path rejects exactly the inputs the reference kernels
+    reject, with the same exception type, before any shard starts."""
+
+    @pytest.mark.parametrize("algorithm, params, fixture, error", [
+        ("pr", {"iterations": -1}, "er_undirected", GenerationError),
+        ("pr", {"iterations": 5, "damping": 1.5}, "er_undirected",
+         GenerationError),
+        ("cdlp", {"iterations": -2}, "er_undirected", GenerationError),
+        ("bfs", {"source_vertex": 99999}, "er_undirected", GraphFormatError),
+        ("sssp", {"source_vertex": 99999}, "er_weighted", GraphFormatError),
+        ("sssp", {"source_vertex": 0}, "er_undirected", GraphFormatError),
+        ("sssp", {"source_vertex": 1}, "negative_weights", GraphFormatError),
+        ("bfs", {}, "er_undirected", ConfigurationError),
+        ("wcc", {"iterations": 3}, "er_undirected", ConfigurationError),
+    ])
+    def test_same_exception_as_run_reference(
+        self, algorithm, params, fixture, error, request
+    ):
+        graph = (
+            _negative_weights() if fixture == "negative_weights"
+            else request.getfixturevalue(fixture)
+        )
+        with pytest.raises(error) as reference:
+            run_reference(algorithm, graph, params)
+        with pytest.raises(error) as sharded:
+            run_algorithm(graph, algorithm, params, partitions=2)
+        assert type(sharded.value) is type(reference.value)
+
+
 class TestExchangeDeterminism:
-    """Permuting batch arrival order cannot change delivered state."""
-
-    @staticmethod
-    def _batches(combiner, sends):
-        outboxes = {}
-        for src_shard, sender, target, message in sends:
-            outbox = outboxes.get(src_shard)
-            if outbox is None:
-                owner = np.zeros(64, dtype=np.int64)  # everything -> shard 0
-                outbox = Outbox(
-                    owner=owner, num_shards=4, src_shard=src_shard,
-                    superstep=0, combiner=combiner,
-                )
-                outboxes[src_shard] = outbox
-            outbox.send(sender, target, message)
-        batches = []
-        for outbox in outboxes.values():
-            batches.extend(outbox.batches())
-        return batches
-
-    def test_combined_delivery_order_independent(self):
-        sends = [
-            (1, 10, 3, 7), (1, 11, 3, 4), (2, 20, 3, 9),
-            (2, 21, 5, 2), (3, 30, 5, 8), (3, 31, 3, 1),
-        ]
-        batches = self._batches(MIN_COMBINER, sends)
-        forward = deliver(batches, MIN_COMBINER)
-        backward = deliver(list(reversed(batches)), MIN_COMBINER)
-        rotated = deliver(batches[1:] + batches[:1], MIN_COMBINER)
-        assert forward == backward == rotated
-        assert forward[3] == [1]  # min across all three source shards
-
-    def test_histogram_delivery_order_independent(self):
-        sends = [
-            (1, 10, 3, "a"), (1, 11, 3, "b"), (2, 20, 3, "a"),
-            (3, 30, 3, "b"), (3, 31, 3, "a"),
-        ]
-        batches = self._batches(HISTOGRAM_COMBINER, sends)
-        forward = deliver(batches, HISTOGRAM_COMBINER)
-        backward = deliver(list(reversed(batches)), HISTOGRAM_COMBINER)
-        assert forward == backward
-        # The exact merged multiset, independent of arrival order.
-        assert sorted(forward[3]) == ["a", "a", "a", "b", "b"]
-
-    def test_tagged_delivery_sorts_by_sender_seq(self):
-        sends = [
-            (1, 10, 3, 0.5), (1, 10, 3, 0.25), (2, 20, 3, 0.125),
-            (2, 9, 3, 1.0),
-        ]
-        batches = self._batches(None, sends)
-        forward = deliver(batches, None)
-        backward = deliver(list(reversed(batches)), None)
-        assert forward == backward
-        # (sender, seq) order: sender 9 first, then 10's two messages in
-        # send order, then 20 — regardless of batch arrival order.
-        assert forward[3] == [1.0, 0.5, 0.25, 0.125]
+    """Placement cannot change a single bit of the merged state."""
 
     def test_engine_state_identical_across_strategies_and_shards(
         self, er_undirected
     ):
-        # End-to-end restatement: the delivered-state determinism above
-        # is what makes every placement agree bitwise.
         outputs = {
             run_algorithm(
                 er_undirected, "pr", {"iterations": 15},
@@ -312,7 +290,9 @@ class TestExchangeDeterminism:
             for shards in SHARD_COUNTS
             for strategy in PARTITION_STRATEGIES
         }
-        assert len(outputs) == 1
+        assert outputs == {
+            run_reference("pr", er_undirected, {"iterations": 15}).tobytes()
+        }
 
 
 class TestChaosSupervision:
@@ -332,26 +312,26 @@ class TestChaosSupervision:
         }
 
     def test_killed_shard_relaunched_bit_identical(self, er_undirected):
-        expected = pregel.run_pagerank(er_undirected, 20)
+        expected = run_reference("pr", er_undirected, {"iterations": 20})
         engine = PartitionedEngine(
             er_undirected,
             partitions=2,
             transport="pipes",
             chaos_plan=self._chaos_plan(after=2),
         )
-        actual = engine.run(spec_for("pr", {"iterations": 20}))
+        actual = engine.run("pr", {"iterations": 20})
         assert engine.respawns >= 1, "chaos plan never fired"
         assert actual.tobytes() == expected.tobytes()
         assert actual.dtype == expected.dtype
 
     def test_kill_during_gas_rounds(self, er_undirected):
-        expected = gas.run_wcc(er_undirected)
+        expected = run_reference("wcc", er_undirected)
         engine = PartitionedEngine(
             er_undirected,
             partitions=2,
             transport="pipes",
             chaos_plan=self._chaos_plan(after=1),
         )
-        actual = engine.run(spec_for("wcc", None, model="gas"))
+        actual = engine.run("wcc")
         assert engine.respawns >= 1
         assert actual.tobytes() == expected.tobytes()

@@ -1,5 +1,5 @@
-"""Message-send entrypoints: a racy module-state path and the clean
-per-process ``Outbox`` shape the real engine uses."""
+"""Message-send entrypoints: a racy module-state path and a clean
+per-process ``Outbox`` that mutates only its own instance state."""
 
 from partitioned.state import OUTBOX, SEQ_COUNTERS
 

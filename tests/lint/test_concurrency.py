@@ -98,10 +98,10 @@ class TestRace003ForkUnsafeImportResources:
 
 
 class TestPartitionedFixtureProject:
-    """``partitionedproj`` mirrors the shard engine's message-send
-    entrypoints: a ``Process(target=shard_main)`` fork boundary, a racy
-    module-state send path, the clean per-process ``Outbox``, and pipe
-    payload shapes — the RACE family must split them exactly."""
+    """``partitionedproj`` is a miniature shard project: a
+    ``Process(target=shard_main)`` fork boundary, a racy module-state
+    send path, a clean per-process ``Outbox``, and pipe payload shapes
+    — the RACE family must split them exactly."""
 
     def test_shard_reachable_module_state_flagged(self):
         findings = _run([FIXTURES / "partitionedproj"], ["RACE001"])
