@@ -1,9 +1,14 @@
 """Wall-clock benchmarks of the reference algorithm kernels.
 
-These time the *real* execution of the six reference implementations on
-the G24 miniature (the largest miniature exercised by the baseline
-experiments) — the numbers every simulated platform's "measured" column
-is built from.
+These time the *real* execution of the six reference implementations —
+the numbers every simulated platform's "measured" column is built from.
+BFS, PageRank, WCC, CDLP and LCC run on the G24 miniature (the largest
+unweighted miniature the baseline experiments exercise, and the
+costliest LCC input of the report matrix); SSSP needs weights and runs
+on the R4 miniature.
+
+Run with ``python -m pytest benchmarks/bench_kernels.py``; add
+``--benchmark-disable`` to run each kernel once and check its output.
 """
 
 import pytest
@@ -52,8 +57,8 @@ def test_kernel_cdlp(benchmark, g24):
     assert len(labels) == g24.num_vertices
 
 
-def test_kernel_lcc(benchmark, weighted_mini):
-    values = benchmark(local_clustering_coefficient, weighted_mini)
+def test_kernel_lcc(benchmark, g24):
+    values = benchmark(local_clustering_coefficient, g24)
     assert values.max() <= 1.0
 
 

@@ -13,9 +13,22 @@ al. [34], "modified slightly to be both parallel and deterministic" [24]:
   output deterministic.
 
 Vertices without neighbors keep their own label.
+
+The kernel keeps labels as ranks of the external ids. Labels only ever
+take vertex ids, so rank space is closed under propagation, and the
+order of ranks is the order of ids, so "smallest label" means the same
+in both; the ranks are mapped back to ids once, at the end. Each
+iteration then costs one int64 sort of the ``receiver * n + label``
+keys, O(E log E): run-length encoding gives each (receiver, label)
+count, ``np.maximum.reduceat`` each receiver's highest count, and the
+first group reaching it holds the smallest tied label. Every step is an
+exact integer operation, so the labels are the same bytes a per-vertex
+histogram over external ids would give.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
@@ -26,37 +39,39 @@ from repro.graph.graph import Graph
 __all__ = ["community_detection_lp"]
 
 
+def _label_ranks(graph: Graph) -> Tuple[np.ndarray, np.ndarray]:
+    """Each vertex's initial label, the rank of its external id.
+
+    Also returns the external ids in rank order, which maps ranks back.
+    """
+    ids_by_rank = np.sort(graph.vertex_ids)
+    return np.searchsorted(ids_by_rank, graph.vertex_ids), ids_by_rank
+
+
 def _most_frequent_min_label(
-    n: int, receivers: np.ndarray, labels_in: np.ndarray
+    n: int, receivers: np.ndarray, labels_in: np.ndarray, num_labels: int
 ) -> np.ndarray:
     """Per receiver, the most frequent label (ties -> smallest label).
 
-    ``receivers[k]`` hears label ``labels_in[k]``. Returns an int64 array
-    of length n with -1 for vertices that hear nothing.
+    ``receivers[k]`` (in ``[0, n)``) hears label ``labels_in[k]`` (in
+    ``[0, num_labels)``). Returns an int64 array of length n with -1 for
+    vertices that hear nothing.
     """
     result = np.full(n, -1, dtype=np.int64)
     if len(receivers) == 0:
         return result
-    order = np.lexsort((labels_in, receivers))
-    recv = receivers[order]
-    labs = labels_in[order]
-    # Run-length encode (receiver, label) pairs.
-    boundary = np.empty(len(recv), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (recv[1:] != recv[:-1]) | (labs[1:] != labs[:-1])
-    starts = np.nonzero(boundary)[0]
-    counts = np.diff(np.append(starts, len(recv)))
-    group_recv = recv[starts]
-    group_lab = labs[starts]
-    # Pick per receiver: max count, then min label. Sorting by
-    # (receiver, -count, label) and keeping the first row per receiver
-    # implements exactly that ordering.
-    pick = np.lexsort((group_lab, -counts, group_recv))
-    sorted_recv = group_recv[pick]
-    first = np.empty(len(pick), dtype=bool)
-    first[0] = True
-    first[1:] = sorted_recv[1:] != sorted_recv[:-1]
-    winners = pick[first]
+    keys = np.sort(receivers.astype(np.int64) * num_labels + labels_in)
+    # Run-length encode the (receiver, label) pairs.
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=len(keys))
+    group_recv, group_lab = np.divmod(keys[starts], num_labels)
+    # Per receiver: the highest count, then the first group (smallest
+    # label) that reaches it.
+    recv_starts = np.flatnonzero(np.diff(group_recv, prepend=-1))
+    best = np.maximum.reduceat(counts, recv_starts)
+    is_best = counts == np.repeat(best, np.diff(recv_starts, append=len(counts)))
+    candidates = np.flatnonzero(is_best)
+    winners = candidates[np.diff(group_recv[candidates], prepend=-1) != 0]
     result[group_recv[winners]] = group_lab[winners]
     return result
 
@@ -89,13 +104,11 @@ def community_detection_lp(graph: Graph, *, iterations: int = 10) -> np.ndarray:
         senders = out_sources
         receivers = out_targets
 
-    labels = graph.vertex_ids.astype(np.int64).copy()
+    labels, ids_by_rank = _label_ranks(graph)
     for _ in range(iterations):
-        heard = _most_frequent_min_label(n, receivers, labels[senders])
-        updated = labels.copy()
-        has_neighbors = heard >= 0
-        updated[has_neighbors] = heard[has_neighbors]
+        heard = _most_frequent_min_label(n, receivers, labels[senders], n)
+        updated = np.where(heard >= 0, heard, labels)
         if np.array_equal(updated, labels):
             break
         labels = updated
-    return labels
+    return ids_by_rank[labels]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gather_neighbors", "expand_sources", "intersect_count"]
+__all__ = ["gather_neighbors", "expand_sources"]
 
 
 def gather_neighbors(
@@ -32,13 +32,3 @@ def expand_sources(indptr: np.ndarray) -> np.ndarray:
     n = len(indptr) - 1
     return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
 
-
-def intersect_count(a: np.ndarray, b: np.ndarray) -> int:
-    """|a ∩ b| for two sorted, duplicate-free int arrays."""
-    if len(a) == 0 or len(b) == 0:
-        return 0
-    if len(a) > len(b):
-        a, b = b, a
-    pos = np.searchsorted(b, a)
-    pos[pos == len(b)] = len(b) - 1
-    return int(np.count_nonzero(b[pos] == a))

@@ -6,16 +6,24 @@ floating-point non-negative edge weights. Directed graphs follow
 out-edges. Unreachable vertices get :data:`SSSP_UNREACHABLE` (infinity,
 matching the official reference output).
 
-The reference implementation is Dijkstra's algorithm with a binary heap;
-lazily-deleted heap entries keep it O((V + E) log V).
+The kernel relaxes a frontier to the min-plus fixpoint: each round takes
+the out-slots of the vertices whose distance fell in the previous round
+(at first, the source), computes ``dist[v] + w`` for all of them at once
+and lowers the targets with ``np.minimum.at``. A vertex re-enters the
+frontier only when its distance falls, so the work is the edges out of
+improved vertices, summed over rounds, with no per-edge Python.
+
+The result is byte-identical to Dijkstra's. Rounded float addition of a
+non-negative weight is monotone and never decreases a distance, so both
+algorithms end at the same value: for every vertex, the smallest
+left-to-right float sum over all paths from the source.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
+from repro.algorithms.common import expand_sources, gather_neighbors
 from repro.exceptions import GraphFormatError
 from repro.graph.graph import Graph
 
@@ -26,7 +34,7 @@ SSSP_UNREACHABLE: float = float("inf")
 
 
 def single_source_shortest_paths(graph: Graph, source: int) -> np.ndarray:
-    """Dijkstra from ``source`` (external id); returns float64 distances."""
+    """Distances from ``source`` (external id); returns float64 distances."""
     if not graph.is_weighted:
         raise GraphFormatError("SSSP requires a weighted graph")
     if not graph.has_vertex(source):
@@ -40,20 +48,15 @@ def single_source_shortest_paths(graph: Graph, source: int) -> np.ndarray:
     root = graph.index_of(source)
     dist[root] = 0.0
     indptr, indices = graph.out_indptr, graph.out_indices
-    heap = [(0.0, root)]
-    settled = np.zeros(n, dtype=bool)
-    while heap:
-        d, v = heapq.heappop(heap)
-        if settled[v]:
-            continue
-        settled[v] = True
-        lo, hi = indptr[v], indptr[v + 1]
-        for slot in range(lo, hi):
-            u = indices[slot]
-            if settled[u]:
-                continue
-            candidate = d + weights[slot]
-            if candidate < dist[u]:
-                dist[u] = candidate
-                heapq.heappush(heap, (candidate, int(u)))
+    slot_ids = np.arange(len(indices), dtype=np.int64)
+    slot_sources = expand_sources(indptr)
+    frontier = np.array([root], dtype=np.int64)
+    while len(frontier):
+        slots = gather_neighbors(indptr, slot_ids, frontier)
+        targets = indices[slots]
+        candidate = dist[slot_sources[slots]] + weights[slots]
+        better = candidate < dist[targets]
+        targets = targets[better]
+        np.minimum.at(dist, targets, candidate[better])
+        frontier = np.unique(targets)
     return dist

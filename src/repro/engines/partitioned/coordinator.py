@@ -37,6 +37,7 @@ from typing import Callable, Dict, Mapping, Optional
 import numpy as np
 
 from repro.algorithms.bfs import BFS_UNREACHABLE
+from repro.algorithms.cdlp import _label_ranks
 from repro.algorithms.registry import get_algorithm
 from repro.algorithms.sssp import SSSP_UNREACHABLE
 from repro.engines.partitioned.partition import PartitionSet, partition_graph
@@ -410,8 +411,8 @@ def _bfs(graph: Graph, sweep: Sweep, source_vertex: int) -> np.ndarray:
 
 
 def _sssp(graph: Graph, sweep: Sweep, source_vertex: int) -> np.ndarray:
-    # Jacobi min-plus relaxation to the fixpoint: float addition is
-    # monotone, so the fixpoint is Dijkstra's distances bit for bit.
+    # Jacobi min-plus relaxation to the same fixpoint the reference
+    # kernel's frontier relaxation reaches, so distances match bit for bit.
     dist = np.full(graph.num_vertices, SSSP_UNREACHABLE, dtype=np.float64)
     dist[graph.index_of(source_vertex)] = 0.0
     for superstep in itertools.count():
@@ -436,13 +437,13 @@ def _wcc(graph: Graph, sweep: Sweep) -> np.ndarray:
 
 
 def _cdlp(graph: Graph, sweep: Sweep, iterations: int = 10) -> np.ndarray:
-    labels = graph.vertex_ids.astype(np.int64).copy()
+    labels, ids_by_rank = _label_ranks(graph)
     for iteration in range(iterations):
         updated = sweep(iteration, labels)
         if np.array_equal(updated, labels):
             break
         labels = updated
-    return labels
+    return ids_by_rank[labels]
 
 
 def _lcc(graph: Graph, sweep: Sweep) -> np.ndarray:

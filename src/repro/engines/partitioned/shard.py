@@ -133,7 +133,8 @@ class ShardState:
 
     def _step_cdlp(self, superstep: int, labels: np.ndarray) -> np.ndarray:
         heard = _most_frequent_min_label(
-            self.size, self.targets, labels[self.sources]
+            self.size, self.targets, labels[self.sources],
+            self.graph.num_vertices,
         )
         return np.where(heard >= 0, heard, labels[self.owned])
 

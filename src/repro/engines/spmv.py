@@ -213,7 +213,7 @@ def run_cdlp(graph: Graph, iterations: int = 10) -> np.ndarray:
     the "generalized SpMV" GraphMat exposes for vertex programs whose
     message reduction is not a classical semiring addition.
     """
-    from repro.algorithms.cdlp import _most_frequent_min_label
+    from repro.algorithms.cdlp import _label_ranks, _most_frequent_min_label
 
     n = graph.num_vertices
     if n == 0:
@@ -227,16 +227,15 @@ def run_cdlp(graph: Graph, iterations: int = 10) -> np.ndarray:
         receivers = np.concatenate([out_targets, in_targets])
     else:
         senders, receivers = out_sources, out_targets
-    labels = graph.vertex_ids.astype(np.int64).copy()
+    labels, ids_by_rank = _label_ranks(graph)
     tracer = current_tracer()
     for iteration in range(iterations):
         with tracer.span("iteration", engine="spmv", algorithm="cdlp",
                          index=iteration):
-            heard = _most_frequent_min_label(n, receivers, labels[senders])
-            updated = labels.copy()
-            updated[heard >= 0] = heard[heard >= 0]
+            heard = _most_frequent_min_label(n, receivers, labels[senders], n)
+            updated = np.where(heard >= 0, heard, labels)
             converged = np.array_equal(updated, labels)
         if converged:
             break
         labels = updated
-    return labels
+    return ids_by_rank[labels]

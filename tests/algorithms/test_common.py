@@ -1,9 +1,8 @@
 """Tests for the shared CSR helpers."""
 
 import numpy as np
-import pytest
 
-from repro.algorithms.common import expand_sources, gather_neighbors, intersect_count
+from repro.algorithms.common import expand_sources, gather_neighbors
 
 
 class TestGatherNeighbors:
@@ -48,25 +47,3 @@ class TestExpandSources:
     def test_empty(self):
         assert len(expand_sources(np.array([0], dtype=np.int64))) == 0
 
-
-class TestIntersectCount:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [
-            ([1, 3, 5], [3, 5, 7], 2),
-            ([1, 2], [3, 4], 0),
-            ([], [1, 2], 0),
-            ([1, 2, 3], [], 0),
-            ([1, 2, 3], [1, 2, 3], 3),
-            ([10], [5, 10, 15], 1),
-        ],
-    )
-    def test_cases(self, a, b, expected):
-        assert intersect_count(
-            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-        ) == expected
-
-    def test_swaps_for_shorter_first(self):
-        big = np.arange(0, 1000, 2)
-        small = np.array([4, 500, 999])
-        assert intersect_count(big, small) == intersect_count(small, big) == 2
